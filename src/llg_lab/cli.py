@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the config's master seed")
     run.add_argument("--out", help="output directory for the CSV (default: CSV to stdout)")
     run.add_argument("--trials", type=int, help="override the config's trial count")
-    run.add_argument("--workers", type=int, help="concurrent trials per cell")
     return parser
 
 
@@ -58,8 +57,6 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if args.trials is not None:
             overrides["trials"] = args.trials
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         if overrides:
             config = replace(config, **overrides)
 

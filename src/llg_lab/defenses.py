@@ -17,11 +17,7 @@ def add_gaussian_noise(grads: Gradients, sigma: float,
     """Independent N(0, sigma^2) noise on every gradient entry."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    out = grads.copy()
-    if sigma > 0:
-        for arr in out.arrays():
-            arr += rng.normal(0.0, sigma, size=arr.shape)
-    return out
+    return _noised(grads.copy(), sigma, rng)
 
 
 def dp_clip_and_noise(grads: Gradients, beta: float, sigma: float,
@@ -32,11 +28,15 @@ def dp_clip_and_noise(grads: Gradients, beta: float, sigma: float,
         raise ValueError("clipping bound beta must be positive")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    out = grads.scaled(1.0 / max(1.0, grads.l2_norm() / beta))
+    return _noised(grads.scaled(1.0 / max(1.0, grads.l2_norm() / beta)), sigma, rng)
+
+
+def _noised(grads: Gradients, sigma: float, rng: np.random.Generator) -> Gradients:
+    # one draw over the packed vector yields the same numbers as one draw
+    # per array in layer order, since the generator fills them in sequence
     if sigma > 0:
-        for arr in out.arrays():
-            arr += rng.normal(0.0, sigma, size=arr.shape)
-    return out
+        grads.vector += rng.normal(0.0, sigma, size=grads.vector.size)
+    return grads
 
 
 @dataclass
@@ -63,27 +63,17 @@ def compress(grads: Gradients, state: CompressionState) -> Gradients:
     zeroed there, everything else stays for later rounds. Mutates state, so
     emitted-so-far plus residual always equals the raw gradient total.
     """
-    state.residual.add_(grads)
-    magnitudes = np.concatenate([np.abs(a).ravel() for a in state.residual.arrays()])
-    discard = int(np.floor(state.theta * magnitudes.size))
-    emitted_layers: list = []
+    residual = state.residual.add_(grads).vector
+    magnitudes = np.abs(residual)
+    discard = int(np.floor(state.theta * residual.size))
     if discard == 0:
         threshold = -np.inf  # emit everything
     else:
         threshold = np.partition(magnitudes, discard - 1)[discard - 1]
-    for entry in state.residual.by_layer:
-        if entry is None:
-            emitted_layers.append(None)
-            continue
-        pair = []
-        for arr in entry:
-            out = np.zeros_like(arr)
-            mask = np.abs(arr) > threshold
-            out[mask] = arr[mask]
-            arr[mask] = 0.0
-            pair.append(out)
-        emitted_layers.append(tuple(pair))
-    return Gradients(emitted_layers)
+    mask = magnitudes > threshold
+    emitted = np.where(mask, residual, 0.0)
+    residual[mask] = 0.0
+    return state.residual.like(emitted)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,6 @@ class ExperimentConfig:
     n_clients: int = 50
     clients_per_round: int = 10
     samples_per_client: int = 80
-    workers: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -155,8 +154,6 @@ class ExperimentConfig:
             raise ValueError("rounds, n_clients, and samples_per_client must be >= 1")
         if not 1 <= self.clients_per_round <= self.n_clients:
             raise ValueError("clients_per_round must be in [1, n_clients]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.experiment == "convergence_sweep":
             if len(self.batch_sizes) != 1:
                 raise ValueError("convergence_sweep needs exactly one batch size")
@@ -171,6 +168,10 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"config must be an object, got {type(raw).__name__}")
         raw = dict(raw)
+        # trials run one after another; configs that name the one worker
+        # this implies still load
+        if raw.pop("workers", 1) != 1:
+            raise ValueError("workers must be 1: trials run one after another")
         if "defense" in raw and "defenses" in raw:
             raise ValueError("give either 'defense' or 'defenses', not both")
         if "defense" in raw:
@@ -259,52 +260,45 @@ def _extract(attack: str, update, net, config: ExperimentConfig, batch_size: int
     return llg_extract(last, params)
 
 
-def _grid_cell(config: ExperimentConfig, kind_idx: int, pool, test, aux,
-               d_idx: int, b_idx: int, trial: int) -> list[ResultRow]:
-    defense = config.defenses[d_idx]
-    batch_size = config.batch_sizes[b_idx]
+def _attack_rows(config: ExperimentConfig, kind_idx: int, net, test, aux, update, truth,
+                 cell: tuple[int, int, int], rng_key: tuple) -> list[ResultRow]:
+    """Score one defended update: one ResultRow per attack, or the single
+    llg_plus calibration row of calibration_plot.
+
+    cell is (defense index, batch-size index, trial) and places the row
+    seeds; attack a draws from rng_for(master, kind, *rng_key, _STREAM_ATTACK, a).
+    """
+    d_idx, b_idx, trial = cell
     master = config.master_seed
-    net = _build_model(config, seed_of(master, kind_idx, b_idx, trial, _STREAM_MODEL))
-    victim_rng = rng_for(master, kind_idx, b_idx, trial, _STREAM_VICTIM)
-    update, truth = _victim_update(config, net, pool, batch_size, victim_rng)
-    if defense.kind != "none":
-        state = (CompressionState.for_network(net, defense.theta)
-                 if defense.kind == "compress" else None)
-        defense_rng = rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
-        update = apply_defense(update, defense, defense_rng, state)
-    accuracy = test_accuracy(net, test)
+    batch_size = config.batch_sizes[b_idx]
     common = dict(
         experiment=config.experiment,
         algorithm=config.algorithm_label(),
         model=config.model,
         batch_size=batch_size,
-        defense=defense.label(),
+        defense=config.defenses[d_idx].label(),
         trial=trial,
-        model_accuracy=accuracy,
+        model_accuracy=test_accuracy(net, test),
     )
+    calibration = config.experiment == "calibration_plot"
     rows = []
-    if config.experiment == "calibration_plot":
-        arng = rng_for(master, kind_idx, b_idx, trial, _STREAM_ATTACK, 0)
-        params = estimate_params_auxiliary(net, aux, batch_size, update.sample_count, arng)
-        calibrated = update.last_layer().g - params.offsets
-        try:
-            score: float | None = abs(pearson(calibrated, truth.counts))
-        except ValueError:
-            score = None  # degenerate: constant counts or constant gradients
-        rows.append(ResultRow(attack="llg_plus", asr=score, hellinger=None,
-                              seed=seed_of(master, kind_idx, d_idx, b_idx, 0, trial),
+    for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
+        arng = rng_for(master, kind_idx, *rng_key, _STREAM_ATTACK, a_idx)
+        if calibration:
+            params = estimate_params_auxiliary(net, aux, batch_size, update.sample_count, arng)
+            calibrated = update.last_layer().g - params.offsets
+            try:
+                score: float | None = abs(pearson(calibrated, truth.counts))
+            except ValueError:
+                score = None  # degenerate: constant counts or constant gradients
+            distance = None
+        else:
+            extracted = _extract(attack, update, net, config, batch_size, arng, aux)
+            score = attack_success_rate(extracted, truth)
+            distance = hellinger(extracted, truth)
+        rows.append(ResultRow(attack=attack, asr=score, hellinger=distance,
+                              seed=seed_of(master, kind_idx, d_idx, b_idx, a_idx, trial),
                               **common))
-        return rows
-    for a_idx, attack in enumerate(config.attacks):
-        arng = rng_for(master, kind_idx, b_idx, trial, _STREAM_ATTACK, a_idx)
-        extracted = _extract(attack, update, net, config, batch_size, arng, aux)
-        rows.append(ResultRow(
-            attack=attack,
-            asr=attack_success_rate(extracted, truth),
-            hellinger=hellinger(extracted, truth),
-            seed=seed_of(master, kind_idx, d_idx, b_idx, a_idx, trial),
-            **common,
-        ))
     return rows
 
 
@@ -324,28 +318,28 @@ def _make_data(config: ExperimentConfig):
 
 
 def _run_grid(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
+    master = config.master_seed
     pool, test = _make_data(config)
     # the held-out split doubles as the adversary's auxiliary data
     aux = test if _needs_aux(config) else None
-    tasks = [
-        (d_idx, b_idx, trial)
-        for d_idx in range(len(config.defenses))
-        for b_idx in range(len(config.batch_sizes))
-        for trial in range(config.trials)
-    ]
-
-    def run_one(key):
-        result = _grid_cell(config, kind_idx, pool, test, aux, *key)
+    rows: list[ResultRow] = []
+    for d_idx, b_idx, trial in product(range(len(config.defenses)),
+                                       range(len(config.batch_sizes)),
+                                       range(config.trials)):
+        defense = config.defenses[d_idx]
+        net = _build_model(config, seed_of(master, kind_idx, b_idx, trial, _STREAM_MODEL))
+        victim_rng = rng_for(master, kind_idx, b_idx, trial, _STREAM_VICTIM)
+        update, truth = _victim_update(config, net, pool, config.batch_sizes[b_idx], victim_rng)
+        if defense.kind != "none":
+            state = (CompressionState.for_network(net, defense.theta)
+                     if defense.kind == "compress" else None)
+            defense_rng = rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
+            update = apply_defense(update, defense, defense_rng, state)
+        rows += _attack_rows(config, kind_idx, net, test, aux, update, truth,
+                             (d_idx, b_idx, trial), (b_idx, trial))
         if progress is not None:
             progress()
-        return result
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as executor:
-            cells = list(executor.map(run_one, tasks))
-    else:
-        cells = [run_one(key) for key in tasks]
-    return [row for cell in cells for row in cell]
+    return rows
 
 
 def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
@@ -357,24 +351,15 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
                                 rng_for(master, _STREAM_PARTITION))
     net = _build_model(config, seed_of(master, kind_idx, _STREAM_MODEL))
     aux = test if _needs_aux(config) else None
-    spec = BatchSpec(batch_size, config.balance)
     states: dict[int, CompressionState] = {}
     rows: list[ResultRow] = []
     for round_idx in range(1, config.rounds + 1):
         selected = select_clients(config.n_clients, config.clients_per_round,
                                   rng_for(master, kind_idx, round_idx, _STREAM_SELECT))
         updates = []
-        victim_update = victim_truth = None
         for cid in selected:
-            crng = client_rng(master, cid, round_idx)
-            if config.algorithm == "fedsgd":
-                xs, ys = make_batch(clients[cid], spec, crng)
-                update = local_train_fedsgd(net, xs, ys)
-                truth = LabelMultiset.from_labels(ys, config.n_classes)
-            else:
-                update, truth = local_train_fedavg(
-                    net, clients[cid], spec, config.gamma, config.eta, crng
-                )
+            update, truth = _victim_update(config, net, clients[cid], batch_size,
+                                           client_rng(master, cid, round_idx))
             if defense.kind != "none":
                 if defense.kind == "compress" and cid not in states:
                     states[cid] = CompressionState.for_network(net, defense.theta)
@@ -383,23 +368,8 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
             updates.append(update)
             if cid == 0:
                 victim_update, victim_truth = update, truth
-        accuracy = test_accuracy(net, test)
-        for a_idx, attack in enumerate(config.attacks):
-            arng = rng_for(master, kind_idx, round_idx, _STREAM_ATTACK, a_idx)
-            extracted = _extract(attack, victim_update, net, config, batch_size, arng, aux)
-            rows.append(ResultRow(
-                experiment=config.experiment,
-                algorithm=config.algorithm_label(),
-                attack=attack,
-                model=config.model,
-                batch_size=batch_size,
-                defense=defense.label(),
-                trial=round_idx,
-                asr=attack_success_rate(extracted, victim_truth),
-                hellinger=hellinger(extracted, victim_truth),
-                model_accuracy=accuracy,
-                seed=seed_of(master, kind_idx, 0, 0, a_idx, round_idx),
-            ))
+        rows += _attack_rows(config, kind_idx, net, test, aux, victim_update, victim_truth,
+                             (0, 0, round_idx), (round_idx,))
         server_aggregate(updates, net, config.eta)
         if progress is not None:
             progress()

@@ -86,7 +86,6 @@ class RoundUpdate:
     """One client's shared gradient for one communication round."""
 
     gradients: Gradients
-    algorithm: str  # "fedsgd" or "fedavg"
     sample_count: int
 
     def last_layer(self) -> LastLayerGradient:
@@ -99,7 +98,7 @@ def local_train_fedsgd(net: Network, batch: np.ndarray, labels) -> RoundUpdate:
     (under FedSGD the global step happens at the server)."""
     logits, cache = net.forward(batch)
     grads = net.backward(cache, output_gradient(logits, labels))
-    return RoundUpdate(grads, "fedsgd", len(labels))
+    return RoundUpdate(grads, len(labels))
 
 
 def local_train_fedavg(net: Network, dataset: ClientDataset, spec: BatchSpec,
@@ -139,7 +138,7 @@ def local_train_fedavg(net: Network, dataset: ClientDataset, spec: BatchSpec,
         accumulated = grads.copy() if accumulated is None else accumulated.add_(grads)
         local.sgd_step(grads, eta)
         seen += np.bincount(labels - 1, minlength=net.n_classes)
-    update = RoundUpdate(accumulated, "fedavg", gamma * spec.size)
+    update = RoundUpdate(accumulated, gamma * spec.size)
     return update, LabelMultiset(seen)
 
 

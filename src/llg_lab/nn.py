@@ -8,6 +8,7 @@ give bit-identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +199,41 @@ class Activation:
 
 
 class Gradients:
-    """Per-layer parameter gradients, aligned with a network's layer list.
+    """Per-layer parameter gradients, aligned with a network's layer list and
+    packed into one float64 vector.
 
-    Entries are (dW, db) pairs for parameterized layers and None otherwise.
+    by_layer entries are (dW, db) views into `vector` for parameterized
+    layers and None otherwise, so writing to a view writes to the vector and
+    whole-gradient arithmetic is one operation on the vector.
     """
 
     def __init__(self, by_layer: list):
-        self.by_layer = list(by_layer)
+        layout = [None if entry is None else (entry[0].shape, entry[1].shape)
+                  for entry in by_layer]
+        arrays = [arr for entry in by_layer if entry is not None for arr in entry]
+        self._pack(np.concatenate(arrays, axis=None, dtype=np.float64), layout)
+
+    def _pack(self, vector: np.ndarray, layout: list) -> None:
+        self.vector = vector
+        self._layout = layout
+        self.by_layer = []
+        pos = 0
+        for shapes in layout:
+            if shapes is None:
+                self.by_layer.append(None)
+                continue
+            views = []
+            for shape in shapes:
+                size = math.prod(shape)
+                views.append(vector[pos:pos + size].reshape(shape))
+                pos += size
+            self.by_layer.append(tuple(views))
+
+    def like(self, vector: np.ndarray) -> "Gradients":
+        """Gradients with this layout over the given vector (not copied)."""
+        out = object.__new__(Gradients)
+        out._pack(vector, self._layout)
+        return out
 
     def arrays(self):
         for entry in self.by_layer:
@@ -213,32 +242,23 @@ class Gradients:
                 yield entry[1]
 
     def copy(self) -> "Gradients":
-        return Gradients([
-            (entry[0].copy(), entry[1].copy()) if entry is not None else None
-            for entry in self.by_layer
-        ])
+        return self.like(self.vector.copy())
 
     def add_(self, other: "Gradients") -> "Gradients":
-        for mine, theirs in zip(self.by_layer, other.by_layer):
-            if mine is None:
-                continue
-            dw, db = mine
-            dw += theirs[0]
-            db += theirs[1]
+        self.vector += other.vector
         return self
 
     def scale_(self, factor: float) -> "Gradients":
-        for arr in self.arrays():
-            arr *= factor
+        self.vector *= factor
         return self
 
     def scaled(self, factor: float) -> "Gradients":
-        return self.copy().scale_(factor)
+        return self.like(self.vector * factor)
 
     def l2_norm(self) -> float:
-        total = 0.0
-        for arr in self.arrays():
-            total += float((arr * arr).sum())
+        # per-array partial sums, not one sum over the vector: the float
+        # order fixes the clipping factor, and with it the CSV bytes
+        total = sum(float((arr * arr).sum()) for arr in self.arrays())
         return float(np.sqrt(total))
 
     @property
@@ -382,8 +402,7 @@ class Network:
             d, grads = self.layers[i].backward(cache.layer_caches[i], d)
             by_layer[i] = grads
         result = Gradients(by_layer)
-        for arr in result.arrays():
-            _require_finite(arr, "parameter gradient")
+        _require_finite(result.vector, "parameter gradient")
         return result
 
     def sgd_step(self, grads: Gradients, eta: float) -> "Network":

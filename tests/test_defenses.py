@@ -3,6 +3,9 @@ mechanics with residual carry, and the conservation invariant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from llg_lab.defenses import (
     CompressionState,
@@ -16,7 +19,7 @@ from llg_lab.data import SyntheticSpec, synth_generate
 from llg_lab.fl import BatchSpec, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate
-from llg_lab.nn import Gradients, mlp
+from llg_lab.nn import Gradients, mlp, small_cnn
 
 
 def grads_from(net, values):
@@ -55,6 +58,16 @@ class TestGaussianNoise:
         noised = add_gaussian_noise(grads, sigma, np.random.default_rng(3))
         deltas = np.concatenate([a.ravel() for a in noised.arrays()])
         assert deltas.var() == pytest.approx(sigma ** 2, rel=0.05)
+
+    def test_one_draw_matches_per_array_draws(self):
+        # the packed vector takes its noise in one draw; that must give the
+        # bytes of one draw per array in layer order
+        net = small_cnn((8, 8), 4, seed=3)
+        grads = random_grads(net, np.random.default_rng(5))
+        noised = add_gaussian_noise(grads, 0.3, np.random.default_rng(6))
+        reference = np.random.default_rng(6)
+        for arr, out in zip(grads.arrays(), noised.arrays()):
+            assert np.array_equal(out, arr + reference.normal(0.0, 0.3, size=arr.shape))
 
     def test_negative_sigma_rejected(self):
         net = mlp(8, 3, seed=0)
@@ -181,6 +194,33 @@ class TestCompression:
                                           running_emitted.arrays(),
                                           state.residual.arrays()):
             assert emitted + residual == pytest.approx(raw, rel=1e-12, abs=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), theta=st.floats(0.0, 1.0, exclude_max=True),
+           rounds=st.integers(1, 6))
+    def test_compression_invariants_on_generated_layouts(self, data, theta, rounds):
+        # parameterized layers of generated shapes around one parameter-free
+        # layer; integer-valued entries keep every float addition exact
+        shapes = data.draw(st.lists(
+            st.tuples(array_shapes(max_dims=3, max_side=4), array_shapes(max_dims=1, max_side=4)),
+            min_size=1, max_size=3))
+        at = data.draw(st.integers(0, len(shapes)))
+        layout = shapes[:at] + [None] + shapes[at:]
+        zeros = [None if s is None else (np.zeros(s[0]), np.zeros(s[1])) for s in layout]
+        state = CompressionState(Gradients(zeros), theta)
+        size = state.residual.vector.size
+        raw_total = np.zeros(size)
+        emitted_total = np.zeros(size)
+        for _ in range(rounds):
+            values = data.draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+            grads = state.residual.like(np.array(values, dtype=np.float64))
+            accumulated = state.residual.vector + grads.vector
+            emitted = compress(grads, state).vector
+            assert np.all((emitted == accumulated) | (emitted == 0.0))
+            assert np.count_nonzero(emitted) <= size - int(np.floor(theta * size))
+            raw_total += grads.vector
+            emitted_total += emitted
+            assert np.array_equal(emitted_total + state.residual.vector, raw_total)
 
     def test_invalid_theta_rejected(self):
         net = mlp(8, 3, seed=9)

@@ -76,6 +76,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="exactly one batch size"):
             ExperimentConfig(experiment="convergence_sweep", batch_sizes=(4, 8))
 
+    def test_workers_loads_only_as_one(self, tmp_path, capsys):
+        # trials run one after another; "workers": 1 is the only value that
+        # still loads, and the CLI has no --workers flag
+        assert small_config(workers=1) == small_config()
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="workers"):
+                small_config(workers=workers)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"experiment": "asr_vs_batchsize", "workers": 2}))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(config), "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
@@ -113,11 +128,6 @@ class TestRunExperiment:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=4))
         assert a != b
-
-    def test_workers_do_not_change_results(self):
-        a = run_experiment(small_config(trials=4))
-        b = run_experiment(small_config(trials=4, workers=4))
-        assert a == b
 
     def test_fedavg_batch_sizes_scale_the_sample_count(self):
         rows = run_experiment(small_config(

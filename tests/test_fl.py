@@ -212,7 +212,7 @@ class TestServerAggregate:
         xs, ys = make_batch(pool, BatchSpec(8), np.random.default_rng(14))
         update = local_train_fedsgd(net, xs, ys)
         from llg_lab.fl import RoundUpdate
-        mirrored = RoundUpdate(update.gradients.scaled(-1.0), "fedsgd", update.sample_count)
+        mirrored = RoundUpdate(update.gradients.scaled(-1.0), update.sample_count)
         server_aggregate([update, mirrored], net, 0.1)
         assert net.head.W == pytest.approx(before, abs=1e-15)
 
@@ -226,7 +226,7 @@ class TestServerAggregate:
             for arr in grads.arrays():
                 arr += float(k + 1)
             grads_list.append(grads)
-            updates.append(RoundUpdate(grads, "fedsgd", v))
+            updates.append(RoundUpdate(grads, v))
         before = net.head.W.copy()
         server_aggregate(updates, net, 0.5)
         # weights 1/6, 2/6, 3/6 over constant gradients 1, 2, 3
