@@ -71,12 +71,21 @@ def estimate_impact_shared(last: LastLayerGradient, n_classes: int) -> float:
 def gradient_row_sums(net: Network, batch: np.ndarray, labels) -> np.ndarray:
     """Per-class sums of the last-layer weight gradient for one probe batch.
 
+    The head weight gradient is dyᵀ·a, with dy the output gradient and a the
+    penultimate activations the forward pass cached, so only the forward
+    pass runs. The product is the same expression on the same arrays as
+    `Dense.backward` evaluates for the head inside `Network.backward`, so
+    the row sums match that full backward pass bit for bit.
+
     Probing never mutates the model, so repeated probes observe the same
     parameter state.
     """
     logits, cache = net.forward(batch)
-    grads = net.backward(cache, output_gradient(logits, labels))
-    return grads.head[0].sum(axis=1)
+    dy = output_gradient(logits, labels)
+    g = (dy.T @ cache.penultimate).sum(axis=1)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("probe gradient row sums contain non-finite values")
+    return g
 
 
 def _dummy_batch(kind: str, batch_size: int, input_dim: int,

@@ -37,13 +37,20 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), which never overflows, this is 1/(1+e) where x >= 0
+    and e/(1+e) elsewhere: the same operations, element for element, as
+    evaluating each sign's formula on its own part of x. It works in place
+    on the output plus one temporary, without gathering either part.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.divide(out, denom, out=out)
+    np.divide(1.0, denom, out=out, where=x >= 0)
     return out
 
 

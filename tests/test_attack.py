@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llg_lab.attack import (
     AttackParams,
@@ -22,7 +24,7 @@ from llg_lab.data import SyntheticSpec, synth_generate
 from llg_lab.fl import BatchSpec, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate
-from llg_lab.nn import LastLayerGradient, mlp, small_cnn
+from llg_lab.nn import LastLayerGradient, mlp, output_gradient, small_cnn
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,40 @@ class TestWhiteBoxEstimation:
         net = mlp(16, 4, seed=32)
         with pytest.raises(ValueError, match="dummy kind"):
             estimate_params_whitebox(net, 4, 4, dummy_kind="noise")
+
+
+class TestProbeRowSums:
+    @settings(deadline=None, max_examples=80)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           batch_size=st.integers(1, 128),
+           fill=st.sampled_from(["zeros", "ones", "uniform"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_backward_bit_for_bit(self, model, activation, batch_size,
+                                                   fill, seed):
+        # the head-only product must be the very numbers Network.backward
+        # puts in the head, not merely close to them
+        rng = np.random.default_rng(seed)
+        if model == "mlp":
+            net = mlp(16, 10, seed=seed, activation=activation)
+        else:
+            net = small_cnn((8, 8), 10, seed=seed, activation=activation)
+        shape = (batch_size, int(np.prod(net.input_shape)))
+        batch = {"zeros": np.zeros, "ones": np.ones}.get(fill, rng.random)(shape)
+        labels = rng.integers(1, 11, size=batch_size)
+        logits, cache = net.forward(batch)
+        oracle = net.backward(cache, output_gradient(logits, labels)).head[0].sum(axis=1)
+        assert np.array_equal(gradient_row_sums(net, batch, labels), oracle)
+
+    def test_non_finite_row_sum_rejected(self):
+        # finite logits (zero head weights) over huge finite activations:
+        # each head entry is finite, but a row sum overflows
+        net = mlp(1, 2, hidden=8, seed=0, activation="relu")
+        net.layers[0].W[:] = 1.0
+        net.layers[0].b[:] = 0.0
+        net.head.W[:] = 0.0
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            gradient_row_sums(net, np.array([[1e308]]), np.array([1]))
 
 
 class TestAuxiliaryEstimation:

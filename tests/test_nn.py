@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from llg_lab.nn import (
     Activation,
@@ -17,6 +20,7 @@ from llg_lab.nn import (
     cross_entropy_loss,
     mlp,
     output_gradient,
+    sigmoid,
     small_cnn,
     softmax,
 )
@@ -84,6 +88,46 @@ class TestForward:
         _, cache = net.forward(x)
         assert cache.penultimate.shape == (6, 5)
         assert np.all(cache.penultimate >= 0)  # sigmoid output
+
+
+def two_branch_sigmoid(x):
+    """Reference logistic: each sign's formula on its own gathered part of
+    x, scattered back."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_ELEMENTS = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4]),
+)
+
+
+class TestSigmoid:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), layout=st.sampled_from(["contiguous", "transposed", "strided"]))
+    def test_matches_the_two_branch_formula_bit_for_bit(self, data, layout):
+        shape = data.draw(array_shapes(min_dims=2, max_dims=4, max_side=6))
+        if layout == "strided":
+            base = data.draw(arrays(np.float64, shape[:-1] + (2 * shape[-1],),
+                                    elements=SIGMOID_ELEMENTS))
+            x = base[..., ::2]
+        else:
+            x = data.draw(arrays(np.float64, shape, elements=SIGMOID_ELEMENTS))
+            if layout == "transposed":
+                x = x.T
+        expected = two_branch_sigmoid(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(x)
+        assert got.shape == x.shape
+        assert not np.shares_memory(got, x)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
 
 
 class TestCrossEntropy:
