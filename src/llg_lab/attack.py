@@ -25,8 +25,8 @@ from .labels import LabelMultiset
 from .nn import LastLayerGradient, Network, output_gradient
 
 DUMMY_KINDS = ("zeros", "ones", "uniform_random")
-DEFAULT_OFFSET_BATCH_SIZES = (2, 8, 32)
-DEFAULT_IMPACT_BATCHES = 10
+OFFSET_BATCH_SIZES = (2, 8, 32)
+IMPACT_BATCHES = 10
 
 
 class NoNegativeGradients(ValueError):
@@ -99,7 +99,7 @@ def _dummy_batch(kind: str, batch_size: int, input_dim: int,
     raise ValueError(f"unknown dummy kind {kind!r}; use one of {DUMMY_KINDS}")
 
 
-def _estimate_offsets(net: Network, batch_for_label, batch_sizes) -> np.ndarray:
+def _estimate_offsets(net: Network, batch_for_label) -> np.ndarray:
     """Offsets from probe batches filled with a single label each.
 
     A batch full of label j exposes the misclassification shift on every
@@ -109,7 +109,7 @@ def _estimate_offsets(net: Network, batch_for_label, batch_sizes) -> np.ndarray:
     n = net.n_classes
     sums = np.zeros(n)
     counts = np.zeros(n)
-    for size in batch_sizes:
+    for size in OFFSET_BATCH_SIZES:
         for j in range(1, n + 1):
             g = gradient_row_sums(net, batch_for_label(j, size), np.full(size, j))
             mask = np.arange(n) != j - 1
@@ -137,34 +137,28 @@ def _estimate_impact_probed(net: Network, batch_for_label, batch_size: int,
 
 def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
                              dummy_kind: str = "zeros",
-                             rng: np.random.Generator | None = None,
-                             impact_batches: int = DEFAULT_IMPACT_BATCHES,
-                             offset_batch_sizes=DEFAULT_OFFSET_BATCH_SIZES) -> AttackParams:
-    """Estimate impact and offsets by probing a model copy with dummy data."""
+                             rng: np.random.Generator | None = None) -> AttackParams:
+    """Estimate impact and offsets by probing the model with dummy data."""
     if dummy_kind not in DUMMY_KINDS:
         raise ValueError(f"unknown dummy kind {dummy_kind!r}; use one of {DUMMY_KINDS}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    shadow = net.copy()
-    input_dim = int(np.prod(shadow.input_shape))
+    input_dim = int(np.prod(net.input_shape))
 
     def batch_for_label(_label: int, size: int) -> np.ndarray:
         return _dummy_batch(dummy_kind, size, input_dim, rng)
 
     # deterministic dummies make repeated batches identical
-    probes = impact_batches if dummy_kind == "uniform_random" else 1
-    impact = _estimate_impact_probed(shadow, batch_for_label, batch_size, probes)
-    offsets = _estimate_offsets(shadow, batch_for_label, offset_batch_sizes)
+    probes = IMPACT_BATCHES if dummy_kind == "uniform_random" else 1
+    impact = _estimate_impact_probed(net, batch_for_label, batch_size, probes)
+    offsets = _estimate_offsets(net, batch_for_label)
     return AttackParams(impact, offsets, sample_count)
 
 
 def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
-                              sample_count: int, rng: np.random.Generator,
-                              impact_batches: int = DEFAULT_IMPACT_BATCHES,
-                              offset_batch_sizes=DEFAULT_OFFSET_BATCH_SIZES) -> AttackParams:
-    """Estimate impact and offsets by probing a model copy with real samples
+                              sample_count: int, rng: np.random.Generator) -> AttackParams:
+    """Estimate impact and offsets by probing the model with real samples
     drawn from an auxiliary dataset covering every class."""
-    shadow = net.copy()
-    for label in range(1, shadow.n_classes + 1):
+    for label in range(1, net.n_classes + 1):
         if len(aux.class_indices(label)) == 0:
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
 
@@ -173,8 +167,8 @@ def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
         idx = rng.choice(pool, size=size, replace=size > len(pool))
         return aux.xs[idx]
 
-    impact = _estimate_impact_probed(shadow, batch_for_label, batch_size, impact_batches)
-    offsets = _estimate_offsets(shadow, batch_for_label, offset_batch_sizes)
+    impact = _estimate_impact_probed(net, batch_for_label, batch_size, IMPACT_BATCHES)
+    offsets = _estimate_offsets(net, batch_for_label)
     return AttackParams(impact, offsets, sample_count)
 
 

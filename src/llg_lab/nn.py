@@ -89,12 +89,6 @@ class Dense:
         dx = dy @ self.W
         return dx, (dW, db)
 
-    def copy(self) -> "Dense":
-        clone = object.__new__(Dense)
-        clone.W = self.W.copy()
-        clone.b = self.b.copy()
-        return clone
-
 
 class Conv2D:
     """Valid (unpadded) 2-D convolution over NCHW batches."""
@@ -155,16 +149,6 @@ class Conv2D:
                 )
         return dx, (dW, db)
 
-    def copy(self) -> "Conv2D":
-        clone = object.__new__(Conv2D)
-        clone.in_channels = self.in_channels
-        clone.out_channels = self.out_channels
-        clone.kernel = self.kernel
-        clone.stride = self.stride
-        clone.W = self.W.copy()
-        clone.b = self.b.copy()
-        return clone
-
 
 class Flatten:
     """Reshape (B, ...) to (B, -1); parameter-free."""
@@ -174,9 +158,6 @@ class Flatten:
 
     def backward(self, cache, dy):
         return dy.reshape(cache), None
-
-    def copy(self) -> "Flatten":
-        return self
 
 
 class Activation:
@@ -201,8 +182,23 @@ class Activation:
             return dy * y * (1.0 - y), None
         return dy * (cache > 0), None
 
-    def copy(self) -> "Activation":
-        return self
+
+def _views(vector: np.ndarray, layout: tuple) -> list:
+    """Per-layer (W, b)-shaped views into a packed vector, None for layers
+    without parameters; layout holds each layer's (W shape, b shape) or None."""
+    views: list = []
+    pos = 0
+    for shapes in layout:
+        if shapes is None:
+            views.append(None)
+            continue
+        pair = []
+        for shape in shapes:
+            size = math.prod(shape)
+            pair.append(vector[pos:pos + size].reshape(shape))
+            pos += size
+        views.append(tuple(pair))
+    return views
 
 
 class Gradients:
@@ -211,36 +207,31 @@ class Gradients:
 
     by_layer entries are (dW, db) views into `vector` for parameterized
     layers and None otherwise, so writing to a view writes to the vector and
-    whole-gradient arithmetic is one operation on the vector.
+    whole-gradient arithmetic is one operation on the vector. `layout` holds
+    each entry's (dW shape, db shape) or None, as `Network.layout` does for
+    the network's `params`.
     """
 
     def __init__(self, by_layer: list):
-        layout = [None if entry is None else (entry[0].shape, entry[1].shape)
-                  for entry in by_layer]
+        layout = tuple(None if entry is None else (entry[0].shape, entry[1].shape)
+                       for entry in by_layer)
         arrays = [arr for entry in by_layer if entry is not None for arr in entry]
         self._pack(np.concatenate(arrays, axis=None, dtype=np.float64), layout)
 
-    def _pack(self, vector: np.ndarray, layout: list) -> None:
+    def _pack(self, vector: np.ndarray, layout: tuple) -> None:
         self.vector = vector
-        self._layout = layout
-        self.by_layer = []
-        pos = 0
-        for shapes in layout:
-            if shapes is None:
-                self.by_layer.append(None)
-                continue
-            views = []
-            for shape in shapes:
-                size = math.prod(shape)
-                views.append(vector[pos:pos + size].reshape(shape))
-                pos += size
-            self.by_layer.append(tuple(views))
+        self.layout = layout
+        self.by_layer = _views(vector, layout)
+
+    @classmethod
+    def _over(cls, vector: np.ndarray, layout: tuple) -> "Gradients":
+        out = object.__new__(cls)
+        out._pack(vector, layout)
+        return out
 
     def like(self, vector: np.ndarray) -> "Gradients":
         """Gradients with this layout over the given vector (not copied)."""
-        out = object.__new__(Gradients)
-        out._pack(vector, self._layout)
-        return out
+        return self._over(vector, self.layout)
 
     def arrays(self):
         for entry in self.by_layer:
@@ -275,13 +266,7 @@ class Gradients:
 
     @classmethod
     def zeros_for(cls, net: "Network") -> "Gradients":
-        by_layer = []
-        for layer in net.layers:
-            if hasattr(layer, "W"):
-                by_layer.append((np.zeros_like(layer.W), np.zeros_like(layer.b)))
-            else:
-                by_layer.append(None)
-        return cls(by_layer)
+        return cls._over(np.zeros_like(net.params), net.layout)
 
 
 @dataclass
@@ -333,6 +318,12 @@ class Network:
     least two classes, a dense head with one row per class, and (when any
     layer feeds the head) a non-negative activation directly before it,
     flattens aside.
+
+    Every W and b lives in one float64 vector `params`, in layer order, with
+    the same `layout` as the network's Gradients. Construction copies the
+    layers' parameters into it and rebinds each layer's W and b to views of
+    it, so write parameters in place (`W[:] = ...`): assigning a new array
+    to `layer.W` detaches it from the network.
     """
 
     def __init__(self, layers: list, n_classes: int, input_shape: tuple):
@@ -359,18 +350,30 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.h = head.W.shape[1]
         self._version = 0  # bumped on every parameter update; invalidates caches
+        self.layout = tuple((layer.W.shape, layer.b.shape) if hasattr(layer, "W")
+                            else None for layer in self.layers)
+        arrays = [arr for layer in self.layers if hasattr(layer, "W")
+                  for arr in (layer.W, layer.b)]
+        self._bind(np.concatenate(arrays, axis=None, dtype=np.float64))
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        for layer, views in zip(self.layers, _views(params, self.layout)):
+            if views is not None:
+                layer.W, layer.b = views
 
     @property
     def head(self) -> Dense:
         return self.layers[-1]
 
     def copy(self) -> "Network":
+        """An independent network: parameterized layers are shallow clones
+        rebound to a copy of `params`; parameter-free layers are shared."""
         clone = object.__new__(Network)
-        clone.layers = [layer.copy() for layer in self.layers]
-        clone.n_classes = self.n_classes
-        clone.input_shape = self.input_shape
-        clone.h = self.h
-        clone._version = self._version
+        vars(clone).update(vars(self))
+        clone.layers = [layer if shapes is None else _shallow(layer)
+                        for layer, shapes in zip(self.layers, self.layout)]
+        clone._bind(self.params.copy())
         return clone
 
     def _shape_batch(self, batch) -> np.ndarray:
@@ -413,19 +416,21 @@ class Network:
         return result
 
     def sgd_step(self, grads: Gradients, eta: float) -> "Network":
-        """W <- W - eta * dW for every parameter; invalidates existing caches."""
+        """params <- params - eta * grads, i.e. W <- W - eta * dW for every
+        parameter; invalidates existing caches."""
         if eta < 0:
             raise ValueError("learning rate must be >= 0")
-        for layer, entry in zip(self.layers, grads.by_layer):
-            if entry is None:
-                continue
-            dW, db = entry
-            if dW.shape != layer.W.shape or db.shape != layer.b.shape:
-                raise ValueError("gradient shapes do not match layer parameters")
-            layer.W -= eta * dW
-            layer.b -= eta * db
+        if grads.layout != self.layout:
+            raise ValueError("gradient shapes do not match layer parameters")
+        self.params -= eta * grads.vector
         self._version += 1
         return self
+
+
+def _shallow(layer):
+    clone = object.__new__(type(layer))
+    vars(clone).update(vars(layer))
+    return clone
 
 
 def _check_labels(labels, n_classes: int, batch_size: int) -> np.ndarray:

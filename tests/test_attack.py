@@ -154,6 +154,21 @@ class TestProbeRowSums:
             gradient_row_sums(net, np.array([[1e308]]), np.array([1]))
 
 
+class TestEstimatorsLeaveTheModelAlone:
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_probing_changes_no_parameter(self, world, model):
+        # the estimators probe the model itself, forward passes only
+        _, test = world
+        net = mlp(64, 10, seed=40) if model == "mlp" else small_cnn((8, 8), 10, seed=40)
+        before, version = net.params.copy(), net._version
+        rng = np.random.default_rng(41)
+        for dummy_kind in ("zeros", "uniform_random"):
+            estimate_params_whitebox(net, 8, 8, dummy_kind=dummy_kind, rng=rng)
+        estimate_params_auxiliary(net, test, 8, 8, rng)
+        assert net.params.tobytes() == before.tobytes()
+        assert net._version == version
+
+
 class TestAuxiliaryEstimation:
     def test_missing_class_rejected(self, world):
         train, test = world

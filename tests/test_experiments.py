@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -157,13 +158,26 @@ class TestRunExperiment:
         assert all(0.0 <= r.model_accuracy <= 1.0 for r in rows)
 
     def test_defense_sweep_pairs_cells_across_defenses(self):
+        defenses = (DefenseSpec(), DefenseSpec("noise", sigma=0.1),
+                    DefenseSpec("compress", theta=0.8))
         rows = run_experiment(small_config(
             experiment="defense_sweep",
-            attacks=("llg_plus",), trials=2,
-            defenses=(DefenseSpec(), DefenseSpec("noise", sigma=0.1)),
+            attacks=("llg_plus", "random"), batch_sizes=(4, 8), trials=2,
+            defenses=defenses,
         ))
-        assert len(rows) == 4
-        assert {r.defense for r in rows} == {"none", "noise(sigma=0.1)"}
+        assert len(rows) == 3 * 2 * 2 * 2
+        assert {r.defense for r in rows} == {d.label() for d in defenses}
+        # every arm of a (batch size, trial) cell sees the same victim model:
+        # the same accuracy and, the row's labels aside, the same random row
+        cells: dict = {}
+        for r in rows:
+            cells.setdefault((r.batch_size, r.trial), []).append(r)
+        assert len(cells) == 4
+        for arms in cells.values():
+            assert len({r.defense for r in arms}) == len(defenses)
+            assert len({r.model_accuracy for r in arms}) == 1
+            randoms = {replace(r, defense="", seed=0) for r in arms if r.attack == "random"}
+            assert len(randoms) == 1
 
 
 class TestCsvContract:

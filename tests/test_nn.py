@@ -254,7 +254,82 @@ def finite_difference_agreement(net, x, labels, step=1e-4, tol=1e-3):
     return good / total
 
 
+def per_layer_sgd_step(arrays, grads, eta):
+    # the update sgd_step made before parameters were packed: one in-place
+    # subtraction per separate W and b; kept as the oracle
+    for arr, grad in zip(arrays, grads.arrays(), strict=True):
+        arr -= eta * grad
+
+
+def hand_made_net(seed):
+    rng = np.random.default_rng(seed)
+    layers = [Conv2D(2, 3, 2, 2, rng), Activation("relu"), Flatten(),
+              Dense(27, 6, rng), Activation("sigmoid"), Dense(6, 4, rng)]
+    return Network(layers, 4, (2, 6, 6))
+
+
+def param_arrays(net):
+    return [arr for layer in net.layers if hasattr(layer, "W")
+            for arr in (layer.W, layer.b)]
+
+
 class TestSgdStep:
+    @settings(deadline=None, max_examples=60)
+    @given(model=st.sampled_from(["mlp", "cnn", "hand"]),
+           seed=st.integers(0, 2**32 - 1),
+           eta=st.floats(0.0, 10.0),
+           steps=st.integers(1, 3))
+    def test_matches_the_per_layer_update_bit_for_bit(self, model, seed, eta, steps):
+        net = {"mlp": lambda: mlp(12, 5, hidden=7, seed=seed),
+               "cnn": lambda: small_cnn((7, 7), 5, channels=3, seed=seed),
+               "hand": lambda: hand_made_net(seed)}[model]()
+        rng = np.random.default_rng(seed)
+        oracle = [arr.copy() for arr in param_arrays(net)]
+        for _ in range(steps):
+            size = net.params.size
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size=size)
+            grads = Gradients.zeros_for(net).like(values)
+            per_layer_sgd_step(oracle, grads, eta)
+            net.sgd_step(grads, eta)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(param_arrays(net), oracle))
+        assert all(np.shares_memory(arr, net.params) for arr in param_arrays(net))
+
+    @pytest.mark.parametrize("make", [lambda: mlp(4, 3, seed=5),
+                                      lambda: small_cnn((6, 6), 3, channels=2, seed=5),
+                                      lambda: hand_made_net(5)])
+    def test_parameters_are_views_and_copies_share_nothing(self, make):
+        net = make()
+        assert net.params.dtype == np.float64
+        assert net.params.size == sum(arr.size for arr in param_arrays(net))
+        assert all(np.shares_memory(arr, net.params) for arr in param_arrays(net))
+        clone = net.copy()
+        assert np.array_equal(clone.params, net.params)
+        assert clone.layout == net.layout
+        assert all(np.shares_memory(arr, clone.params) for arr in param_arrays(clone))
+        for mine in [net.params, *param_arrays(net)]:
+            for theirs in [clone.params, *param_arrays(clone)]:
+                assert not np.shares_memory(mine, theirs)
+
+    def test_construction_keeps_the_layers_initial_values(self):
+        rng = np.random.default_rng(8)
+        layers = [Dense(3, 4, rng), Activation("relu"), Dense(4, 2, rng)]
+        before = [arr.copy() for layer in (layers[0], layers[2]) for arr in (layer.W, layer.b)]
+        net = Network(layers, 2, (3,))
+        assert np.array_equal(net.params, np.concatenate([a.ravel() for a in before]))
+
+    def test_gradient_of_another_layout_rejected(self):
+        net = mlp(4, 3, hidden=5, seed=5)
+        (w_shape, b_shape), *rest = net.layout
+        # the same number of entries, the first weight matrix flattened
+        other = [(np.zeros(math.prod(w_shape)), np.zeros(b_shape))]
+        other += [None if s is None else (np.zeros(s[0]), np.zeros(s[1])) for s in rest]
+        grads = Gradients(other)
+        assert grads.vector.size == net.params.size
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="gradient shapes do not match layer parameters"):
+            net.sgd_step(grads, 0.1)
+        assert np.array_equal(net.params, before) and net._version == 0
+
     def test_zero_learning_rate_leaves_network_unchanged(self):
         net = mlp(4, 3, seed=5)
         before = [arr.copy() for layer in net.layers if hasattr(layer, "W")
