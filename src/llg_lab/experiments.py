@@ -1,10 +1,13 @@
 """Config-driven experiment runner.
 
-Each experiment walks a grid of (defense x batch size x attack x trial)
-cells or a multi-round federated training run, scores every attack against
-the ground truth, and produces one CSV row per trial. Every random draw is
-derived from (master_seed, cell indices, trial index), so a config and a
-seed fully determine the output bytes.
+A grid experiment walks its (batch size x trial) cells. Each cell builds the
+model, the victim update, the model's test accuracy and every attack's
+model-side guess once; each defense arm then applies only its defense to
+that update, extracts and scores, so the arms differ by the defense alone.
+Rows come out arm by arm, one per (defense, batch size, trial, attack). A
+convergence sweep instead attacks the victim client of every federated
+round. Every random draw is derived from (master_seed, cell indices, trial
+index), so a config and a seed fully determine the output bytes.
 """
 
 from __future__ import annotations
@@ -237,73 +240,67 @@ def _victim_update(config: ExperimentConfig, net, pool, batch_size: int, rng):
     return local_train_fedavg(net, pool, spec, config.gamma, config.eta, rng)
 
 
-def _extract(attack: str, update, net, config: ExperimentConfig, batch_size: int,
-             rng, aux) -> LabelMultiset:
-    last = update.last_layer()
-    d = update.sample_count
-    n = config.n_classes
-    if attack == "random":
-        return random_guess(n, d, rng)
-    if attack == "llg":
-        try:
-            params = AttackParams(estimate_impact_shared(last, n), np.zeros(n), d)
-        except NoNegativeGradients:
-            params = uniform_params(n, d)
-    elif attack == "llg_star":
-        params = estimate_params_whitebox(
-            net, batch_size, d, dummy_kind=config.dummy_kind, rng=rng
-        )
-    elif attack == "llg_plus":
-        params = estimate_params_auxiliary(net, aux, batch_size, d, rng)
-    else:
-        raise ValueError(f"unknown attack {attack!r}")
-    return llg_extract(last, params)
+def _guesses(config: ExperimentConfig, kind_idx: int, net, aux, batch_size: int,
+             sample_count: int, rng_key: tuple) -> list[tuple]:
+    """(attack, guess) per attack, from the undefended model alone: the
+    llg_star/llg_plus AttackParams, the random multiset, or None for llg,
+    whose estimate reads the shared gradient. calibration_plot has the one
+    llg_plus guess. Attack a draws from
+    rng_for(master, kind, *rng_key, _STREAM_ATTACK, a)."""
+    calibration = config.experiment == "calibration_plot"
+    guesses = []
+    for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
+        rng = rng_for(config.master_seed, kind_idx, *rng_key, _STREAM_ATTACK, a_idx)
+        if attack == "llg":
+            guess = None
+        elif attack == "random":
+            guess = random_guess(config.n_classes, sample_count, rng)
+        elif attack == "llg_star":
+            guess = estimate_params_whitebox(net, batch_size, sample_count,
+                                             dummy_kind=config.dummy_kind, rng=rng)
+        elif attack == "llg_plus":
+            guess = estimate_params_auxiliary(net, aux, batch_size, sample_count, rng)
+        else:
+            raise ValueError(f"unknown attack {attack!r}")
+        guesses.append((attack, guess))
+    return guesses
 
 
-def _attack_rows(config: ExperimentConfig, kind_idx: int, net, test, aux, update, truth,
-                 cell: tuple[int, int, int], rng_key: tuple) -> list[ResultRow]:
-    """Score one defended update: one ResultRow per attack, or the single
-    llg_plus calibration row of calibration_plot.
-
-    cell is (defense index, batch-size index, trial) and places the row
-    seeds; attack a draws from rng_for(master, kind, *rng_key, _STREAM_ATTACK, a).
+def _attack_rows(config: ExperimentConfig, kind_idx: int, accuracy: float, guesses: list,
+                 update, truth, cell: tuple[int, int, int]) -> list[ResultRow]:
+    """Score one defended update against the cell's guesses: one ResultRow
+    per attack, or the single llg_plus calibration row of calibration_plot.
+    cell is (defense index, batch-size index, trial) and places the row seeds.
     """
     d_idx, b_idx, trial = cell
-    master = config.master_seed
-    batch_size = config.batch_sizes[b_idx]
-    common = dict(
-        experiment=config.experiment,
-        algorithm=config.algorithm_label(),
-        model=config.model,
-        batch_size=batch_size,
-        defense=config.defenses[d_idx].label(),
-        trial=trial,
-        model_accuracy=test_accuracy(net, test),
-    )
-    calibration = config.experiment == "calibration_plot"
+    last = update.last_layer()
+    n, d = config.n_classes, update.sample_count
+    common = dict(experiment=config.experiment, algorithm=config.algorithm_label(),
+                  model=config.model, batch_size=config.batch_sizes[b_idx],
+                  defense=config.defenses[d_idx].label(), trial=trial,
+                  model_accuracy=accuracy)
     rows = []
-    for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
-        arng = rng_for(master, kind_idx, *rng_key, _STREAM_ATTACK, a_idx)
-        if calibration:
-            params = estimate_params_auxiliary(net, aux, batch_size, update.sample_count, arng)
-            calibrated = update.last_layer().g - params.offsets
+    for a_idx, (attack, guess) in enumerate(guesses):
+        distance = None
+        if config.experiment == "calibration_plot":
             try:
-                score: float | None = abs(pearson(calibrated, truth.counts))
+                score: float | None = abs(pearson(last.g - guess.offsets, truth.counts))
             except ValueError:
                 score = None  # degenerate: constant counts or constant gradients
-            distance = None
         else:
-            extracted = _extract(attack, update, net, config, batch_size, arng, aux)
+            if attack == "llg":
+                try:
+                    guess = AttackParams(estimate_impact_shared(last, n), np.zeros(n), d)
+                except NoNegativeGradients:
+                    guess = uniform_params(n, d)
+            extracted = guess if attack == "random" else llg_extract(last, guess)
             score = attack_success_rate(extracted, truth)
             distance = hellinger(extracted, truth)
         rows.append(ResultRow(attack=attack, asr=score, hellinger=distance,
-                              seed=seed_of(master, kind_idx, d_idx, b_idx, a_idx, trial),
+                              seed=seed_of(config.master_seed, kind_idx, d_idx, b_idx,
+                                           a_idx, trial),
                               **common))
     return rows
-
-
-def _needs_aux(config: ExperimentConfig) -> bool:
-    return config.experiment == "calibration_plot" or "llg_plus" in config.attacks
 
 
 def _make_data(config: ExperimentConfig):
@@ -320,26 +317,27 @@ def _make_data(config: ExperimentConfig):
 def _run_grid(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
     master = config.master_seed
     pool, test = _make_data(config)
-    # the held-out split doubles as the adversary's auxiliary data
-    aux = test if _needs_aux(config) else None
-    rows: list[ResultRow] = []
-    for d_idx, b_idx, trial in product(range(len(config.defenses)),
-                                       range(len(config.batch_sizes)),
-                                       range(config.trials)):
-        defense = config.defenses[d_idx]
+    arms: list[list[ResultRow]] = [[] for _ in config.defenses]
+    for b_idx, trial in product(range(len(config.batch_sizes)), range(config.trials)):
+        batch_size = config.batch_sizes[b_idx]
         net = _build_model(config, seed_of(master, kind_idx, b_idx, trial, _STREAM_MODEL))
         victim_rng = rng_for(master, kind_idx, b_idx, trial, _STREAM_VICTIM)
-        update, truth = _victim_update(config, net, pool, config.batch_sizes[b_idx], victim_rng)
-        if defense.kind != "none":
-            state = (CompressionState.for_network(net, defense.theta)
-                     if defense.kind == "compress" else None)
-            defense_rng = rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
-            update = apply_defense(update, defense, defense_rng, state)
-        rows += _attack_rows(config, kind_idx, net, test, aux, update, truth,
-                             (d_idx, b_idx, trial), (b_idx, trial))
-        if progress is not None:
-            progress()
-    return rows
+        update, truth = _victim_update(config, net, pool, batch_size, victim_rng)
+        accuracy = test_accuracy(net, test)
+        guesses = _guesses(config, kind_idx, net, test, batch_size, update.sample_count,
+                           (b_idx, trial))
+        for d_idx, defense in enumerate(config.defenses):
+            defended = update
+            if defense.kind != "none":
+                state = (CompressionState.for_network(net, defense.theta)
+                         if defense.kind == "compress" else None)
+                defense_rng = rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
+                defended = apply_defense(update, defense, defense_rng, state)
+            arms[d_idx] += _attack_rows(config, kind_idx, accuracy, guesses, defended, truth,
+                                        (d_idx, b_idx, trial))
+            if progress is not None:
+                progress()
+    return [row for rows in arms for row in rows]
 
 
 def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
@@ -350,7 +348,6 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
     clients = partition_clients(pool, config.n_clients, config.samples_per_client,
                                 rng_for(master, _STREAM_PARTITION))
     net = _build_model(config, seed_of(master, kind_idx, _STREAM_MODEL))
-    aux = test if _needs_aux(config) else None
     states: dict[int, CompressionState] = {}
     rows: list[ResultRow] = []
     for round_idx in range(1, config.rounds + 1):
@@ -368,8 +365,10 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
             updates.append(update)
             if cid == 0:
                 victim_update, victim_truth = update, truth
-        rows += _attack_rows(config, kind_idx, net, test, aux, victim_update, victim_truth,
-                             (0, 0, round_idx), (round_idx,))
+        guesses = _guesses(config, kind_idx, net, test, batch_size,
+                           victim_update.sample_count, (round_idx,))
+        rows += _attack_rows(config, kind_idx, test_accuracy(net, test), guesses,
+                             victim_update, victim_truth, (0, 0, round_idx))
         server_aggregate(updates, net, config.eta)
         if progress is not None:
             progress()

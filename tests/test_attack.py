@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llg_lab.attack import (
@@ -268,6 +268,28 @@ class TestExtraction:
             scaled = llg_extract(last_from_g(g * factor, d),
                                  AttackParams(m * factor, s * factor, d))
             assert base == scaled
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_class_permutation_equivariance(self, data):
+        # permuting head rows and offsets permutes the extracted labels alike
+        n = data.draw(st.integers(2, 12), label="n")
+        d = data.draw(st.integers(1, 40), label="d")
+        whole = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        shifts = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        ranks = np.array(data.draw(st.permutations(range(n))))
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        scale = 2.0 ** data.draw(st.integers(-4, 4), label="scale")
+        # with impact -scale, entries whose fractional parts (in units of
+        # scale) differ never meet, so no argmin ties: ties go to the lowest
+        # index and are not equivariant
+        g = (whole + (ranks + 0.5) / n) * scale
+        offsets = shifts * scale
+        # more negatives than |D| end step 1 by index, also not equivariant
+        assume(np.count_nonzero(g < 0) <= d)
+        base = llg_extract(last_from_g(g, d), AttackParams(-scale, offsets, d))
+        permuted = llg_extract(last_from_g(g[perm], d), AttackParams(-scale, offsets[perm], d))
+        assert np.array_equal(permuted.counts, base.counts[perm])
 
     def test_step_one_only_emits_present_labels(self, world):
         # zero violations allowed: a negative row sum proves membership

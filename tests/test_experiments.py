@@ -2,13 +2,15 @@
 
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from llg_lab import cli
+from llg_lab import cli, experiments
 from llg_lab.defenses import DefenseSpec
 from llg_lab.experiments import (
+    ATTACKS,
     CSV_HEADER,
     ExperimentConfig,
     emit_csv,
@@ -16,6 +18,7 @@ from llg_lab.experiments import (
     load_config,
     read_csv,
     run_experiment,
+    task_count,
 )
 
 
@@ -30,6 +33,15 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+SWEEP_ARMS = (DefenseSpec("noise", sigma=0.1), DefenseSpec("compress", theta=0.8),
+              DefenseSpec())
+
+
+def defense_sweep(defenses):
+    return small_config(experiment="defense_sweep", attacks=ATTACKS, batch_sizes=(2, 8),
+                        trials=2, defenses=defenses)
 
 
 class TestConfigValidation:
@@ -178,6 +190,35 @@ class TestRunExperiment:
             assert len({r.model_accuracy for r in arms}) == 1
             randoms = {replace(r, defense="", seed=0) for r in arms if r.attack == "random"}
             assert len(randoms) == 1
+
+    def test_defense_arms_share_one_pass_per_cell(self, monkeypatch):
+        # per (batch size, trial): one victim update, one accuracy and one
+        # guess per model-side attack, however many defense arms there are
+        shared = ("_victim_update", "test_accuracy", "estimate_params_whitebox",
+                  "estimate_params_auxiliary", "random_guess", "apply_defense")
+        calls: Counter = Counter()
+        for name in shared:
+            def counted(*args, _name=name, _original=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        config = defense_sweep(SWEEP_ARMS)
+        callbacks = []
+        rows = run_experiment(config, progress=lambda: callbacks.append(None))
+        # defense-major, as a sweep over separate runs would be
+        assert [r.defense for r in rows] == [
+            spec.label() for spec in SWEEP_ARMS for _ in range(2 * 2 * len(ATTACKS))]
+        assert len(callbacks) == task_count(config) == 3 * 2 * 2
+        assert calls == {**{name: 2 * 2 for name in shared}, "apply_defense": 2 * 2 * 2}
+
+    def test_defense_arms_stay_isolated(self):
+        # an arm's rows are those of a run with that defense alone; noise is
+        # left out because its stream is keyed by the defense's index
+        swept = run_experiment(defense_sweep(SWEEP_ARMS))
+        for spec in SWEEP_ARMS[1:]:
+            arm = [replace(r, seed=0) for r in swept if r.defense == spec.label()]
+            alone = [replace(r, seed=0) for r in run_experiment(defense_sweep((spec,)))]
+            assert arm == alone
 
 
 class TestCsvContract:

@@ -8,6 +8,8 @@ other in this process with BLAS pinned to one thread, and prints one
 "<run>  <sha256>" line per CSV. A change that must keep the CSV bytes prints
 the same 13 lines as its parent. The bits depend on the BLAS build, so
 compare two commits on one machine; this is not part of the test suite.
+Each run's wall time goes to stderr ("<run>  <seconds> s"), so stdout stays
+comparable with diff across commits.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib
 import io
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,7 +55,10 @@ def runs():
 
 def main() -> int:
     for label, config in runs():
-        print(f"{label:<26}{digest(config)}", flush=True)
+        start = time.perf_counter()
+        line = f"{label:<26}{digest(config)}"
+        print(f"{label:<26}{time.perf_counter() - start:.2f} s", file=sys.stderr, flush=True)
+        print(line, flush=True)
     return 0
 
 
