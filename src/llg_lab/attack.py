@@ -69,68 +69,50 @@ def estimate_impact_shared(last: LastLayerGradient, n_classes: int) -> float:
 
 
 def gradient_row_sums(net: Network, batch: np.ndarray, labels) -> np.ndarray:
-    """Per-class sums of the last-layer weight gradient for one probe batch.
+    """Per-sample head row sums: row k is the per-class sums of the last-layer
+    weight gradient that sample k alone would produce, shape (B, n).
 
-    The head weight gradient is dyᵀ·a, with dy the output gradient and a the
-    penultimate activations the forward pass cached, so only the forward
-    pass runs. The product is the same expression on the same arrays as
-    `Dense.backward` evaluates for the head inside `Network.backward`, so
-    the row sums match that full backward pass bit for bit.
+    The head weight gradient of one sample is (p_k - e_{y_k})·a_kᵀ, with p_k
+    its softmax and a_k its penultimate activations, so its row sums are
+    (p_k - e_{y_k})·Σ_j a_kj and only the forward pass runs. A probe batch's
+    row sums are the mean of its samples' rows.
 
     Probing never mutates the model, so repeated probes observe the same
     parameter state.
     """
     logits, cache = net.forward(batch)
-    dy = output_gradient(logits, labels)
-    g = (dy.T @ cache.penultimate).sum(axis=1)
-    if not np.all(np.isfinite(g)):
+    # output_gradient divides by B for the batch mean; a sample alone has B = 1
+    dy = output_gradient(logits, labels) * len(logits)
+    rows = dy * cache.penultimate.sum(axis=1)[:, None]
+    if not np.all(np.isfinite(rows)):
         raise ValueError("probe gradient row sums contain non-finite values")
-    return g
+    return rows
 
 
-def _dummy_batch(kind: str, batch_size: int, input_dim: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    if kind == "zeros":
-        return np.zeros((batch_size, input_dim))
-    if kind == "ones":
-        return np.ones((batch_size, input_dim))
-    if kind == "uniform_random":
-        return rng.random((batch_size, input_dim))
-    raise ValueError(f"unknown dummy kind {kind!r}; use one of {DUMMY_KINDS}")
+def _estimate_offsets(n: int, rows_for_label) -> np.ndarray:
+    """Offsets from probes filled with a single label each.
 
-
-def _estimate_offsets(net: Network, batch_for_label) -> np.ndarray:
-    """Offsets from probe batches filled with a single label each.
-
-    A batch full of label j exposes the misclassification shift on every
+    A probe full of label j exposes the misclassification shift on every
     other class i != j, so each (label, size) probe contributes one
     observation per off-class; the offset is the mean of those observations.
     """
-    n = net.n_classes
     sums = np.zeros(n)
-    counts = np.zeros(n)
     for size in OFFSET_BATCH_SIZES:
         for j in range(1, n + 1):
-            g = gradient_row_sums(net, batch_for_label(j, size), np.full(size, j))
+            g = rows_for_label(j, size).mean(axis=0)
             mask = np.arange(n) != j - 1
             sums[mask] += g[mask]
-            counts[mask] += 1
-    return sums / counts
+    return sums / (len(OFFSET_BATCH_SIZES) * (n - 1))
 
 
-def _estimate_impact_probed(net: Network, batch_for_label, batch_size: int,
-                            probes_per_label: int) -> float:
-    """Impact from single-label probe batches: a batch of B samples all
-    labeled i moves g[i] by roughly B impacts, so the per-class means are
-    averaged over n * B with the same (1 + 1/n) correction."""
-    n = net.n_classes
+def _estimate_impact_probed(n: int, rows_for_label, batch_size: int) -> float:
+    """Impact from single-label probes: a batch of B samples all labeled i
+    moves g[i] by roughly B impacts, so the per-class means are averaged
+    over n * B with the same (1 + 1/n) correction."""
     gbar = np.zeros(n)
     for label in range(1, n + 1):
-        observed = [
-            gradient_row_sums(net, batch_for_label(label, batch_size),
-                              np.full(batch_size, label))[label - 1]
-            for _ in range(probes_per_label)
-        ]
+        observed = [rows_for_label(label, batch_size).mean(axis=0)[label - 1]
+                    for _ in range(IMPACT_BATCHES)]
         gbar[label - 1] = np.mean(observed)
     return float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
 
@@ -142,15 +124,23 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     if dummy_kind not in DUMMY_KINDS:
         raise ValueError(f"unknown dummy kind {dummy_kind!r}; use one of {DUMMY_KINDS}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    n = net.n_classes
     input_dim = int(np.prod(net.input_shape))
 
-    def batch_for_label(_label: int, size: int) -> np.ndarray:
-        return _dummy_batch(dummy_kind, size, input_dim, rng)
+    if dummy_kind == "uniform_random":
+        def rows_for_label(label: int, size: int) -> np.ndarray:
+            return gradient_row_sums(net, rng.random((size, input_dim)), np.full(size, label))
+    else:
+        # every sample of a probe is the same input, so the row labelled l
+        # stands for the whole probe of label l, whatever its size
+        fill = 0.0 if dummy_kind == "zeros" else 1.0
+        rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
 
-    # deterministic dummies make repeated batches identical
-    probes = IMPACT_BATCHES if dummy_kind == "uniform_random" else 1
-    impact = _estimate_impact_probed(net, batch_for_label, batch_size, probes)
-    offsets = _estimate_offsets(net, batch_for_label)
+        def rows_for_label(label: int, _size: int) -> np.ndarray:
+            return rows[label - 1:label]
+
+    impact = _estimate_impact_probed(n, rows_for_label, batch_size)
+    offsets = _estimate_offsets(n, rows_for_label)
     return AttackParams(impact, offsets, sample_count)
 
 
@@ -158,17 +148,18 @@ def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
                               sample_count: int, rng: np.random.Generator) -> AttackParams:
     """Estimate impact and offsets by probing the model with real samples
     drawn from an auxiliary dataset covering every class."""
-    for label in range(1, net.n_classes + 1):
+    n = net.n_classes
+    for label in range(1, n + 1):
         if len(aux.class_indices(label)) == 0:
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
+    rows = gradient_row_sums(net, aux.xs, aux.ys)
 
-    def batch_for_label(label: int, size: int) -> np.ndarray:
+    def rows_for_label(label: int, size: int) -> np.ndarray:
         pool = aux.class_indices(label)
-        idx = rng.choice(pool, size=size, replace=size > len(pool))
-        return aux.xs[idx]
+        return rows[rng.choice(pool, size=size, replace=size > len(pool))]
 
-    impact = _estimate_impact_probed(net, batch_for_label, batch_size, IMPACT_BATCHES)
-    offsets = _estimate_offsets(net, batch_for_label)
+    impact = _estimate_impact_probed(n, rows_for_label, batch_size)
+    offsets = _estimate_offsets(n, rows_for_label)
     return AttackParams(impact, offsets, sample_count)
 
 

@@ -35,7 +35,6 @@ from .defenses import CompressionState, DefenseSpec, apply_defense
 from .fl import (
     BatchSpec,
     VALID_BATCH_SIZES,
-    client_rng,
     local_train_fedavg,
     local_train_fedsgd,
     make_batch,
@@ -356,7 +355,7 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
         updates = []
         for cid in selected:
             update, truth = _victim_update(config, net, clients[cid], batch_size,
-                                           client_rng(master, cid, round_idx))
+                                           rng_for(master, cid, round_idx))
             if defense.kind != "none":
                 if defense.kind == "compress" and cid not in states:
                     states[cid] = CompressionState.for_network(net, defense.theta)

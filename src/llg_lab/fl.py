@@ -90,7 +90,7 @@ class RoundUpdate:
 
     def last_layer(self) -> LastLayerGradient:
         dW = self.gradients.head[0]  # bias gradients stay out of g by design
-        return LastLayerGradient.from_matrix(dW, self.sample_count)
+        return LastLayerGradient(dW, self.sample_count)
 
 
 def local_train_fedsgd(net: Network, batch: np.ndarray, labels) -> RoundUpdate:
@@ -163,9 +163,3 @@ def select_clients(n_clients: int, per_round: int, rng: np.random.Generator,
     chosen = rng.choice(others, size=per_round - 1, replace=False) if per_round > 1 else []
     return [victim] + sorted(int(c) for c in chosen)
 
-
-def client_rng(master_seed: int, client_id: int, round_idx: int) -> np.random.Generator:
-    """Per-(client, round) stream so concurrent clients never share state."""
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, client_id, round_idx])
-    )

@@ -9,7 +9,7 @@ give bit-identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,28 +273,22 @@ class Gradients:
 class LastLayerGradient:
     """Weight gradient of the final dense layer plus its per-class row sums.
 
-    g[i] is the sum of row i of the matrix; bias gradients are deliberately
-    not part of g.
+    g[i] is the sum of row i of the matrix, computed on construction; bias
+    gradients are deliberately not part of g.
     """
 
     matrix: np.ndarray
-    g: np.ndarray
     sample_count: int
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.g = np.asarray(self.g, dtype=np.float64)
+        self.sample_count = int(self.sample_count)
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.matrix.ndim != 2 or self.g.shape != (self.matrix.shape[0],):
-            raise ValueError("g must have exactly one entry per matrix row")
-        if not np.allclose(self.g, self.matrix.sum(axis=1), rtol=1e-12, atol=1e-12):
-            raise ValueError("g does not match the row sums of the gradient matrix")
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, sample_count: int) -> "LastLayerGradient":
-        m = np.asarray(matrix, dtype=np.float64)
-        return cls(m, m.sum(axis=1), int(sample_count))
+        if self.matrix.ndim != 2:
+            raise ValueError(f"matrix must be (n, h), got shape {self.matrix.shape}")
+        self.g = self.matrix.sum(axis=1)
 
     @property
     def n_classes(self) -> int:

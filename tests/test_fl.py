@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from llg_lab.data import SyntheticSpec, synth_generate
+from llg_lab.experiments import rng_for
 from llg_lab.fl import (
     BatchSpec,
-    client_rng,
     local_train_fedavg,
     local_train_fedsgd,
     make_batch,
@@ -249,10 +249,10 @@ class TestOrchestration:
         assert len(chosen) == 5
         assert len(set(chosen)) == 5
 
-    def test_client_rng_streams_are_distinct_and_stable(self):
-        a = client_rng(7, 1, 3).random(4)
-        b = client_rng(7, 1, 3).random(4)
-        c = client_rng(7, 2, 3).random(4)
+    def test_rng_for_streams_are_distinct_and_stable(self):
+        a = rng_for(7, 1, 3).random(4)
+        b = rng_for(7, 1, 3).random(4)
+        c = rng_for(7, 2, 3).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -269,7 +269,7 @@ class TestOrchestration:
             selected = select_clients(10, 10, np.random.default_rng(round_idx))
             updates = []
             for cid in selected:
-                xs, ys = make_batch(clients[cid], spec, client_rng(99, cid, round_idx))
+                xs, ys = make_batch(clients[cid], spec, rng_for(99, cid, round_idx))
                 updates.append(local_train_fedsgd(net, xs, ys))
             server_aggregate(updates, net, 0.5)
         assert accuracy_on(net, test) > 0.1

@@ -150,6 +150,16 @@ class TestTestAccuracy:
 
 
 class TestScoreAgreement:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scores_lie_in_the_unit_interval(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        total = data.draw(st.integers(1, 60), label="|D|")
+        labels = st.lists(st.integers(1, n), min_size=total, max_size=total)
+        a, b = (LabelMultiset.from_labels(np.array(data.draw(labels)), n) for _ in range(2))
+        assert 0.0 <= attack_success_rate(a, b) <= 1.0
+        assert 0.0 <= hellinger(a, b) <= 1.0
+
     def test_random_guess_asr_concentrates_at_large_batches(self):
         # over 10^4 independent (truth, guess) pairs at B=128, n=10 the
         # success rate must concentrate: std below 0.05

@@ -404,19 +404,14 @@ class TestConstructionRules:
 
 
 class TestLastLayerGradient:
-    def test_row_sums_validated(self):
-        matrix = np.arange(6.0).reshape(2, 3)
-        with pytest.raises(ValueError, match="row sums"):
-            LastLayerGradient(matrix, np.array([0.0, 0.0]), 1)
-
-    def test_from_matrix_row_sums_exact(self):
+    def test_row_sums_computed_exactly(self):
         matrix = np.random.default_rng(0).normal(size=(4, 7))
-        last = LastLayerGradient.from_matrix(matrix, 3)
+        last = LastLayerGradient(matrix, 3)
         assert np.array_equal(last.g, matrix.sum(axis=1))
 
     def test_sample_count_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            LastLayerGradient.from_matrix(np.zeros((2, 2)), 0)
+            LastLayerGradient(np.zeros((2, 2)), 0)
 
 
 class TestPackedGradients:
