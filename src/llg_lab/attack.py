@@ -89,32 +89,31 @@ def gradient_row_sums(net: Network, batch: np.ndarray, labels) -> np.ndarray:
     return rows
 
 
-def _estimate_offsets(n: int, rows_for_label) -> np.ndarray:
-    """Offsets from probes filled with a single label each.
-
-    A probe full of label j exposes the misclassification shift on every
-    other class i != j, so each (label, size) probe contributes one
-    observation per off-class; the offset is the mean of those observations.
-    """
-    sums = np.zeros(n)
-    for size in OFFSET_BATCH_SIZES:
-        for j in range(1, n + 1):
-            g = rows_for_label(j, size).mean(axis=0)
-            mask = np.arange(n) != j - 1
-            sums[mask] += g[mask]
-    return sums / (len(OFFSET_BATCH_SIZES) * (n - 1))
+def _probe_means(n: int, batch_size: int, rows_for_label) -> tuple[np.ndarray, np.ndarray]:
+    """Mean rows of every single-label probe, in the order they are drawn:
+    IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
+    (offset size, label), shape (S, n, n)."""
+    impact = np.array([[rows_for_label(label, batch_size).mean(axis=0)
+                        for _ in range(IMPACT_BATCHES)] for label in range(1, n + 1)])
+    offsets = np.array([[rows_for_label(label, size).mean(axis=0)
+                         for label in range(1, n + 1)] for size in OFFSET_BATCH_SIZES])
+    return impact, offsets
 
 
-def _estimate_impact_probed(n: int, rows_for_label, batch_size: int) -> float:
-    """Impact from single-label probes: a batch of B samples all labeled i
-    moves g[i] by roughly B impacts, so the per-class means are averaged
-    over n * B with the same (1 + 1/n) correction."""
-    gbar = np.zeros(n)
-    for label in range(1, n + 1):
-        observed = [rows_for_label(label, batch_size).mean(axis=0)[label - 1]
-                    for _ in range(IMPACT_BATCHES)]
-        gbar[label - 1] = np.mean(observed)
-    return float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
+def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
+            sample_count: int) -> AttackParams:
+    """A probe of B samples labelled i moves g[i] by about B impacts, so the
+    impact sums each label's own entry, averaged over its probes, times
+    (1 + 1/n)/(n·B). A probe of label j shows the offset of every class
+    i != j: the own-label entries are zeroed and the rest summed in probe
+    order, over S·(n − 1)."""
+    n = offset_means.shape[-1]
+    own = np.arange(n)
+    gbar = impact_means[own, :, own].mean(axis=1)
+    impact = float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
+    off_label = np.where(np.eye(n, dtype=bool), 0.0, offset_means)
+    offsets = off_label.reshape(-1, n).sum(axis=0) / (len(offset_means) * (n - 1))
+    return AttackParams(impact, offsets, sample_count)
 
 
 def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
@@ -130,18 +129,15 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     if dummy_kind == "uniform_random":
         def rows_for_label(label: int, size: int) -> np.ndarray:
             return gradient_row_sums(net, rng.random((size, input_dim)), np.full(size, label))
-    else:
-        # every sample of a probe is the same input, so the row labelled l
-        # stands for the whole probe of label l, whatever its size
-        fill = 0.0 if dummy_kind == "zeros" else 1.0
-        rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
 
-        def rows_for_label(label: int, _size: int) -> np.ndarray:
-            return rows[label - 1:label]
-
-    impact = _estimate_impact_probed(n, rows_for_label, batch_size)
-    offsets = _estimate_offsets(n, rows_for_label)
-    return AttackParams(impact, offsets, sample_count)
+        return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
+    # every sample of a probe is the same input, so the row labelled l is
+    # the mean of every probe of label l, whatever its size
+    fill = 0.0 if dummy_kind == "zeros" else 1.0
+    rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
+    return _params(np.broadcast_to(rows[:, None], (n, IMPACT_BATCHES, n)),
+                   np.broadcast_to(rows, (len(OFFSET_BATCH_SIZES), n, n)),
+                   batch_size, sample_count)
 
 
 def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
@@ -158,9 +154,7 @@ def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
         pool = aux.class_indices(label)
         return rows[rng.choice(pool, size=size, replace=size > len(pool))]
 
-    impact = _estimate_impact_probed(n, rows_for_label, batch_size)
-    offsets = _estimate_offsets(n, rows_for_label)
-    return AttackParams(impact, offsets, sample_count)
+    return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:

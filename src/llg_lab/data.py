@@ -35,7 +35,6 @@ class ClientDataset:
     xs: np.ndarray
     ys: np.ndarray
     n_classes: int
-    client_id: int = 0
     _by_class: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,9 +60,8 @@ class ClientDataset:
             }
         return self._by_class.get(int(label), np.empty(0, dtype=np.int64))
 
-    def subset(self, indices, client_id: int | None = None) -> "ClientDataset":
-        cid = self.client_id if client_id is None else client_id
-        return ClientDataset(self.xs[indices], self.ys[indices], self.n_classes, cid)
+    def subset(self, indices) -> "ClientDataset":
+        return ClientDataset(self.xs[indices], self.ys[indices], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -156,10 +154,7 @@ def partition_clients(pool: ClientDataset, n_clients: int, samples_per_client: i
     for cid in range(n_clients):
         shortfall = samples_per_client - len(assigned[cid])
         assigned[cid].extend(leftovers.pop() for _ in range(shortfall))
-    return [
-        pool.subset(np.array(sorted(shard)), client_id=cid)
-        for cid, shard in enumerate(assigned)
-    ]
+    return [pool.subset(np.array(sorted(shard))) for shard in assigned]
 
 
 def _read_exact(handle, count: int, path) -> bytes:
@@ -171,7 +166,7 @@ def _read_exact(handle, count: int, path) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path, client_id: int = 0) -> ClientDataset:
+def load_idx(images_path, labels_path) -> ClientDataset:
     """Load an IDX image/label file pair.
 
     Pixels are scaled to [0, 1]; raw labels 0..n-1 are shifted to 1..n.
@@ -198,4 +193,4 @@ def load_idx(images_path, labels_path, client_id: int = 0) -> ClientDataset:
         raise IdxFormatError(f"{images_path}: file contains no samples")
     xs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
     ys = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64) + 1
-    return ClientDataset(xs, ys, int(ys.max()), client_id)
+    return ClientDataset(xs, ys, int(ys.max()))

@@ -5,6 +5,8 @@ and magnitude-threshold compression with a cross-round residual."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -108,11 +110,34 @@ class DefenseSpec:
     def from_dict(cls, raw: dict) -> "DefenseSpec":
         if not isinstance(raw, dict):
             raise ValueError(f"defense must be an object, got {type(raw).__name__}")
-        allowed = {"kind", "sigma", "beta", "theta"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown defense fields: {sorted(unknown)}")
+        check_fields(cls, raw, "defense")
         return cls(**raw)
+
+
+def check_fields(cls, raw: dict, what: str) -> None:
+    """Reject a key of raw that names no field of the dataclass cls, and a
+    value whose type is not the one cls declares for its field. A bool is no
+    number, an int is a float, and a tuple field takes a list or a tuple of
+    its item type."""
+    hints = get_type_hints(cls)
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in raw.items():
+        if not _conforms(value, hints[name]):
+            declared = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
+            raise ValueError(f"{what} field {name!r} must be {declared}, got {value!r}")
+
+
+def _conforms(value, hint) -> bool:
+    if hint is int or hint is float:
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if hint is tuple or get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _conforms(item, arg) for arg in get_args(hint)[:1] for item in value)
+    if get_origin(hint) is UnionType:
+        return any(_conforms(value, arg) for arg in get_args(hint))
+    return isinstance(value, hint)
 
 
 def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generator,
@@ -128,5 +153,8 @@ def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generat
     else:
         if state is None:
             raise ValueError("compression needs the client's CompressionState")
+        if state.theta != spec.theta:
+            raise ValueError(f"the CompressionState has theta={state.theta}, "
+                             f"the spec theta={spec.theta}")
         defended = compress(update.gradients, state)
     return replace(update, gradients=defended)

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .attack import (
     uniform_params,
 )
 from .data import SyntheticSpec, partition_clients, synth_generate
-from .defenses import CompressionState, DefenseSpec, apply_defense
+from .defenses import CompressionState, DefenseSpec, apply_defense, check_fields
 from .fl import (
     BatchSpec,
     VALID_BATCH_SIZES,
@@ -58,11 +59,6 @@ EXPERIMENTS = {
 
 KIND_INDEX = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
-CSV_HEADER = [
-    "experiment", "algorithm", "attack", "model", "batch_size",
-    "defense", "trial", "asr", "hellinger", "model_accuracy", "seed",
-]
-
 # stream tags keep derived seed sequences for different purposes disjoint
 _STREAM_DATA = 101
 _STREAM_PARTITION = 102
@@ -86,9 +82,9 @@ class ExperimentConfig:
     experiment: str
     algorithm: str = "fedsgd"
     gamma: int = 10
-    attacks: tuple = ATTACKS
+    attacks: tuple[str, ...] = ATTACKS
     model: str = "mlp"
-    batch_sizes: tuple = VALID_BATCH_SIZES
+    batch_sizes: tuple[int, ...] = VALID_BATCH_SIZES
     balance: str = "unbalanced"
     defenses: tuple = (DefenseSpec(),)
     trials: int = 100
@@ -140,6 +136,8 @@ class ExperimentConfig:
             raise ValueError("master_seed must be >= 0")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.model == "cnn":
             side = int(round(np.sqrt(self.input_dim)))
             if side * side != self.input_dim:
@@ -178,15 +176,12 @@ class ExperimentConfig:
             raise ValueError("give either 'defense' or 'defenses', not both")
         if "defense" in raw:
             raw["defenses"] = [raw.pop("defense")]
+        check_fields(cls, raw, "config")
         if "defenses" in raw:
             raw["defenses"] = tuple(
                 d if isinstance(d, DefenseSpec) else DefenseSpec.from_dict(d)
                 for d in raw["defenses"]
             )
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key in ("attacks", "batch_sizes"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -219,6 +214,10 @@ class ResultRow:
     hellinger: float | None
     model_accuracy: float
     seed: int
+
+
+CSV_HEADER = [f.name for f in fields(ResultRow)]
+_CELL_TYPES = list(get_type_hints(ResultRow).values())
 
 
 def _build_model(config: ExperimentConfig, seed: int):
@@ -389,62 +388,43 @@ def task_count(config: ExperimentConfig) -> int:
     return len(config.defenses) * len(config.batch_sizes) * config.trials
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(rows: list[ResultRow], dest) -> None:
     """Write rows as UTF-8 CSV with LF line endings; dest is a path or a
-    text stream."""
-    if hasattr(dest, "write"):
-        _write_csv(rows, dest)
-    else:
+    text stream. None cells are empty and floats keep their repr digits."""
+    if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(rows, handle)
-
-
-def _write_csv(rows: list[ResultRow], handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
+            emit_csv(rows, handle)
+        return
+    writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.experiment, row.algorithm, row.attack, row.model,
-            _format_value(row.batch_size), row.defense, _format_value(row.trial),
-            _format_value(row.asr), _format_value(row.hellinger),
-            _format_value(row.model_accuracy), _format_value(row.seed),
-        ])
+    writer.writerows(vars(row).values() for row in rows)
 
 
 def read_csv(source) -> list[ResultRow]:
-    """Parse a CSV produced by emit_csv back into ResultRow objects."""
-    if hasattr(source, "read"):
-        reader = csv.reader(source)
-        return _parse_csv(reader, source)
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _parse_csv(csv.reader(handle), source)
-
-
-def _parse_csv(reader, source) -> list[ResultRow]:
+    """Parse a CSV produced by emit_csv back into ResultRow objects; source
+    is a path or a text stream."""
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return read_csv(handle)
+    name = getattr(source, "name", source)
+    reader = csv.reader(source)
     header = next(reader, None)
     if header != CSV_HEADER:
-        raise ValueError(f"{source}: unexpected CSV header {header}")
+        raise ValueError(f"{name}: unexpected CSV header {header}")
     rows = []
     for record in reader:
         if len(record) != len(CSV_HEADER):
-            raise ValueError(f"{source}: malformed row {record}")
-        rows.append(ResultRow(
-            experiment=record[0], algorithm=record[1], attack=record[2],
-            model=record[3], batch_size=int(record[4]), defense=record[5],
-            trial=int(record[6]),
-            asr=float(record[7]) if record[7] else None,
-            hellinger=float(record[8]) if record[8] else None,
-            model_accuracy=float(record[9]), seed=int(record[10]),
-        ))
+            raise ValueError(f"{name}: malformed row {record}")
+        rows.append(ResultRow(*map(_parse_cell, record, _CELL_TYPES)))
     return rows
+
+
+def _parse_cell(text: str, cell_type):
+    # an empty cell of an optional (`float | None`) field is None
+    optional = get_args(cell_type)
+    if optional:
+        return optional[0](text) if text else None
+    return cell_type(text)
 
 
 def format_summary(rows: list[ResultRow]) -> str:

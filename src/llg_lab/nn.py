@@ -246,10 +246,6 @@ class Gradients:
         self.vector += other.vector
         return self
 
-    def scale_(self, factor: float) -> "Gradients":
-        self.vector *= factor
-        return self
-
     def scaled(self, factor: float) -> "Gradients":
         return self.like(self.vector * factor)
 

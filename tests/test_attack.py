@@ -151,6 +151,47 @@ def probed_one_forward_per_probe(net, batch_size, batch_for_label, probes):
     return impact, sums / counts
 
 
+def loop_estimates(n, batch_size, rows_for_label):
+    """Impact and offsets from one reduction per probe, as the estimators
+    computed them before the probe-mean table: the oracle they must equal
+    bit for bit."""
+    gbar = np.zeros(n)
+    for label in range(1, n + 1):
+        observed = [rows_for_label(label, batch_size).mean(axis=0)[label - 1]
+                    for _ in range(IMPACT_BATCHES)]
+        gbar[label - 1] = np.mean(observed)
+    impact = float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
+    sums = np.zeros(n)
+    for size in OFFSET_BATCH_SIZES:
+        for j in range(1, n + 1):
+            g = rows_for_label(j, size).mean(axis=0)
+            mask = np.arange(n) != j - 1
+            sums[mask] += g[mask]
+    return impact, sums / (len(OFFSET_BATCH_SIZES) * (n - 1))
+
+
+def loop_rows_for_label(net, kind, aux, rng):
+    """The per-probe rows the loop oracle reads, drawn from rng in the
+    estimators' order; a zeros/ones probe is the one row of its label."""
+    n, input_dim = net.n_classes, int(np.prod(net.input_shape))
+    if kind == "auxiliary":
+        rows = gradient_row_sums(net, aux.xs, aux.ys)
+
+        def rows_for_label(label, size):
+            pool = aux.class_indices(label)
+            return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+    elif kind == "uniform_random":
+        def rows_for_label(label, size):
+            return gradient_row_sums(net, rng.random((size, input_dim)), np.full(size, label))
+    else:
+        fill = 0.0 if kind == "zeros" else 1.0
+        rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
+
+        def rows_for_label(label, _size):
+            return rows[label - 1:label]
+    return rows_for_label
+
+
 def probe_net(model, activation, seed):
     if model == "mlp":
         return mlp(64, 10, seed=seed, activation=activation)
@@ -213,6 +254,27 @@ class TestProbeRowSums:
         assert np.allclose(params.impact, impact, rtol=1e-9, atol=0)
         assert np.allclose(params.offsets, offsets, rtol=1e-9, atol=1e-15)
         assert rng.random() == reference_rng.random()
+
+    @settings(deadline=None, max_examples=60)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           batch_size=st.integers(1, 128),
+           kind=st.sampled_from(["zeros", "ones", "uniform_random", "auxiliary"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_estimates_equal_the_probe_loops_bit_for_bit(self, world, model, activation,
+                                                         batch_size, kind, seed):
+        _, aux = world
+        net = probe_net(model, activation, seed)
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if kind == "auxiliary":
+            params = estimate_params_auxiliary(net, aux, batch_size, batch_size, rng)
+        else:
+            params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
+        impact, offsets = loop_estimates(net.n_classes, batch_size,
+                                         loop_rows_for_label(net, kind, aux, loop_rng))
+        assert params.impact == impact
+        assert params.offsets.tobytes() == offsets.tobytes()
+        assert rng.random() == loop_rng.random()
 
     def test_one_forward_prices_every_deterministic_or_auxiliary_estimate(self, world,
                                                                         monkeypatch):

@@ -87,7 +87,7 @@ class TestClipAndNoise:
     def test_norm_above_bound_is_rescaled_with_direction_preserved(self):
         net = mlp(8, 3, seed=2)
         grads = random_grads(net, np.random.default_rng(6))
-        grads.scale_(10.0 / grads.l2_norm())
+        grads = grads.scaled(10.0 / grads.l2_norm())
         clipped = dp_clip_and_noise(grads, 5.0, 0.0, np.random.default_rng(7))
         assert clipped.l2_norm() == pytest.approx(5.0, rel=1e-12)
         for a, b in zip(clipped.arrays(), grads.arrays()):
@@ -96,7 +96,7 @@ class TestClipAndNoise:
     def test_norm_within_bound_is_identity(self):
         net = mlp(8, 3, seed=3)
         grads = random_grads(net, np.random.default_rng(8))
-        grads.scale_(0.5 / grads.l2_norm())
+        grads = grads.scaled(0.5 / grads.l2_norm())
         out = dp_clip_and_noise(grads, 5.0, 0.0, np.random.default_rng(9))
         for a, b in zip(out.arrays(), grads.arrays()):
             assert np.array_equal(a, b)
@@ -252,6 +252,16 @@ class TestDefenseSpec:
         with pytest.raises(ValueError, match="CompressionState"):
             apply_defense(update, DefenseSpec("compress", theta=0.5),
                           np.random.default_rng(0))
+
+    def test_compress_rejects_a_state_of_another_theta(self):
+        # a theta=0.2 state would emit 80% of the entries under a 0.8 spec
+        net = mlp(8, 3, seed=10)
+        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
+        state = CompressionState.for_network(net, 0.2)
+        with pytest.raises(ValueError, match="theta"):
+            apply_defense(update, DefenseSpec("compress", theta=0.8),
+                          np.random.default_rng(0), state)
+        assert not state.residual.vector.any()
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,10 @@
 
 import io
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,11 @@ from llg_lab.experiments import (
     run_experiment,
     task_count,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from harness import WORKLOADS, workload_config  # noqa: E402
 
 
 def small_config(**overrides):
@@ -323,10 +330,25 @@ class TestCli:
         cli.main(["run", "--config", str(config), "--out", str(out_dir), "--trials", "1"])
         assert len(read_csv(out_dir / "asr_vs_batchsize.csv")) == 2
 
-    def test_invalid_config_returns_error_code(self, tmp_path, capsys):
-        config = write_config(tmp_path, experiment="nope")
+    @pytest.mark.parametrize("overrides, field", [
+        pytest.param({"experiment": "nope"}, "experiment", id="unknown-experiment"),
+        pytest.param({"trials": "3"}, "trials", id="trials-str"),
+        pytest.param({"trials": 1.5}, "trials", id="trials-float"),
+        pytest.param({"gamma": 2.5}, "gamma", id="gamma-float"),
+        pytest.param({"eta": "x"}, "eta", id="eta-str"),
+        pytest.param({"n_classes": "10"}, "n_classes", id="n_classes-str"),
+        pytest.param({"batch_sizes": 2}, "batch_sizes", id="batch_sizes-int"),
+        pytest.param({"batch_sizes": [True]}, "batch_sizes", id="batch_sizes-bool"),
+        pytest.param({"defense": {"kind": "noise", "sigma": "0.1"}}, "sigma", id="sigma-str"),
+        pytest.param({"defense": {"kind": "compress", "theta": "0.8"}}, "theta",
+                     id="theta-str"),
+        pytest.param({"hidden": 0}, "hidden", id="hidden-zero"),
+    ])
+    def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
+        config = write_config(tmp_path, **overrides)
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and field in err
 
     def test_missing_config_returns_error_code(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
@@ -335,3 +357,27 @@ class TestCli:
     def test_bare_invocation_prints_usage(self, capsys):
         assert cli.main([]) == 2
         assert "usage" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_config_loads_and_runs_one_trial(self, path):
+        config = replace(load_config(path), trials=1)
+        if config.experiment == "convergence_sweep":
+            config = replace(config, rounds=2)
+        rows = run_experiment(config)
+        per_task = 1 if config.experiment == "calibration_plot" else len(config.attacks)
+        assert len(rows) == task_count(config) * per_task
+        buffer = io.StringIO()
+        emit_csv(rows, buffer)
+        buffer.seek(0)
+        assert read_csv(buffer) == rows
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_bench_workload_loads(self, name):
+        # the workloads keep "workers": 1 and the single "defense" form
+        raw = workload_config(name, 1)
+        config = ExperimentConfig.from_dict(raw)
+        assert config.master_seed == 1
+        assert len(config.defenses) == len(raw.get("defenses", [None]))
