@@ -92,11 +92,15 @@ def gradient_row_sums(net: Network, batch: np.ndarray, labels) -> np.ndarray:
 def _probe_means(n: int, batch_size: int, rows_for_label) -> tuple[np.ndarray, np.ndarray]:
     """Mean rows of every single-label probe, in the order they are drawn:
     IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
-    (offset size, label), shape (S, n, n)."""
-    impact = np.array([[rows_for_label(label, batch_size).mean(axis=0)
-                        for _ in range(IMPACT_BATCHES)] for label in range(1, n + 1)])
-    offsets = np.array([[rows_for_label(label, size).mean(axis=0)
-                         for label in range(1, n + 1)] for size in OFFSET_BATCH_SIZES])
+    (offset size, label), shape (S, n, n). Each table stacks its probes'
+    rows and takes one mean over the sample axis, which adds every probe's
+    rows in the order its own mean would."""
+    labels = range(1, n + 1)
+    impact = np.stack([rows_for_label(label, batch_size)
+                       for label in labels for _ in range(IMPACT_BATCHES)])
+    impact = impact.reshape(n, IMPACT_BATCHES, batch_size, n).mean(axis=2)
+    offsets = np.stack([np.stack([rows_for_label(label, size) for label in labels]).mean(axis=1)
+                        for size in OFFSET_BATCH_SIZES])
     return impact, offsets
 
 

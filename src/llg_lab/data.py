@@ -4,7 +4,8 @@ partitioning, and a loader for the big-endian IDX image/label format."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class ClientDataset:
     xs: np.ndarray
     ys: np.ndarray
     n_classes: int
-    _by_class: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -52,12 +52,19 @@ class ClientDataset:
     def __len__(self) -> int:
         return len(self.ys)
 
+    @cached_property
+    def _by_class(self) -> dict:
+        return {int(lab): np.flatnonzero(self.ys == lab) for lab in np.unique(self.ys)}
+
+    @cached_property
+    def present_labels(self) -> np.ndarray:
+        """The distinct labels, ascending, as a read-only int64 array (cached)."""
+        present = np.fromiter(self._by_class, dtype=np.int64, count=len(self._by_class))
+        present.flags.writeable = False
+        return present
+
     def class_indices(self, label: int) -> np.ndarray:
         """Indices of samples with the given label (cached)."""
-        if self._by_class is None:
-            self._by_class = {
-                int(lab): np.flatnonzero(self.ys == lab) for lab in np.unique(self.ys)
-            }
         return self._by_class.get(int(label), np.empty(0, dtype=np.int64))
 
     def subset(self, indices) -> "ClientDataset":
@@ -139,7 +146,7 @@ def partition_clients(pool: ClientDataset, n_clients: int, samples_per_client: i
         )
     queues = {
         int(lab): list(rng.permutation(pool.class_indices(lab)))
-        for lab in np.unique(pool.ys)
+        for lab in pool.present_labels
     }
     labels_cycle = sorted(queues)
     dominant_quota = samples_per_client // 2

@@ -4,7 +4,7 @@ and magnitude-threshold compression with a cross-round residual."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -88,6 +88,7 @@ class DefenseSpec:
     theta: float = 0.0
 
     def __post_init__(self):
+        check_types(self, "defense")
         if self.kind not in ("none", "noise", "clip_noise", "compress"):
             raise ValueError(f"unknown defense kind {self.kind!r}")
         if self.sigma < 0:
@@ -115,17 +116,20 @@ class DefenseSpec:
 
 
 def check_fields(cls, raw: dict, what: str) -> None:
-    """Reject a key of raw that names no field of the dataclass cls, and a
-    value whose type is not the one cls declares for its field. A bool is no
-    number, an int is a float, and a tuple field takes a list or a tuple of
-    its item type."""
-    hints = get_type_hints(cls)
-    unknown = set(raw) - set(hints)
+    """Reject a key of raw that names no field of the dataclass cls."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    for name, value in raw.items():
-        if not _conforms(value, hints[name]):
-            declared = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
+
+
+def check_types(obj, what: str) -> None:
+    """Reject a field of the dataclass instance obj whose value is not of
+    the type its class declares. A bool is no number, an int is a float, and
+    a tuple field takes a list or a tuple of its item type."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _conforms(value, hint):
+            declared = hint.__name__ if isinstance(hint, type) else hint
             raise ValueError(f"{what} field {name!r} must be {declared}, got {value!r}")
 
 

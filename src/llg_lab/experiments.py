@@ -32,7 +32,7 @@ from .attack import (
     uniform_params,
 )
 from .data import SyntheticSpec, partition_clients, synth_generate
-from .defenses import CompressionState, DefenseSpec, apply_defense, check_fields
+from .defenses import CompressionState, DefenseSpec, apply_defense, check_fields, check_types
 from .fl import (
     BatchSpec,
     VALID_BATCH_SIZES,
@@ -86,7 +86,7 @@ class ExperimentConfig:
     model: str = "mlp"
     batch_sizes: tuple[int, ...] = VALID_BATCH_SIZES
     balance: str = "unbalanced"
-    defenses: tuple = (DefenseSpec(),)
+    defenses: tuple[DefenseSpec, ...] = (DefenseSpec(),)
     trials: int = 100
     master_seed: int = 0
     out: str | None = None
@@ -106,6 +106,7 @@ class ExperimentConfig:
     samples_per_client: int = 80
 
     def __post_init__(self):
+        check_types(self, "config")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
@@ -169,22 +170,25 @@ class ExperimentConfig:
             raise ValueError(f"config must be an object, got {type(raw).__name__}")
         raw = dict(raw)
         # trials run one after another; configs that name the one worker
-        # this implies still load
-        if raw.pop("workers", 1) != 1:
-            raise ValueError("workers must be 1: trials run one after another")
+        # this implies still load. Only the int 1 does: true and 1.0 compare
+        # equal to 1 but are not it
+        workers = raw.pop("workers", 1)
+        if type(workers) is not int or workers != 1:
+            raise ValueError(f"workers must be 1: trials run one after another, "
+                             f"got {workers!r}")
         if "defense" in raw and "defenses" in raw:
             raise ValueError("give either 'defense' or 'defenses', not both")
         if "defense" in raw:
             raw["defenses"] = [raw.pop("defense")]
         check_fields(cls, raw, "config")
-        if "defenses" in raw:
+        for key in ("attacks", "batch_sizes", "defenses"):
+            if isinstance(raw.get(key), list):
+                raw[key] = tuple(raw[key])
+        if isinstance(raw.get("defenses"), tuple):
             raw["defenses"] = tuple(
                 d if isinstance(d, DefenseSpec) else DefenseSpec.from_dict(d)
                 for d in raw["defenses"]
             )
-        for key in ("attacks", "batch_sizes"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
 

@@ -63,7 +63,7 @@ def make_batch(dataset: ClientDataset, spec: BatchSpec,
     if spec.balance == "balanced":
         idx = rng.integers(0, len(dataset), size=spec.size)
     else:
-        present = np.unique(dataset.ys)
+        present = dataset.present_labels
         if len(present) < 2:
             raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
         if spec.dominant is not None:
@@ -115,7 +115,7 @@ def local_train_fedavg(net: Network, dataset: ClientDataset, spec: BatchSpec,
         raise ValueError("gamma must be >= 1")
     pin_labels = spec.balance == "unbalanced" and spec.dominant is None
     if pin_labels:
-        present = np.unique(dataset.ys)
+        present = dataset.present_labels
         if len(present) < 2:
             raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
         # the round keeps one dominant label (the client's data skew); the

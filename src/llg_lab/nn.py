@@ -41,16 +41,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     With e = exp(-|x|), which never overflows, this is 1/(1+e) where x >= 0
     and e/(1+e) elsewhere: the same operations, element for element, as
-    evaluating each sign's formula on its own part of x. It works in place
-    on the output plus one temporary, without gathering either part.
+    evaluating each sign's formula on its own part of x. Since e <= 1, the
+    numerator is max(e, x >= 0): 1 where x >= 0 and e elsewhere, with NaN
+    kept. So one unmasked divide serves both signs; a masked ufunc
+    (`where=`) runs a slow per-element loop, and gathering either part
+    costs a copy. It works in place on the output plus one temporary.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)
     denom = out + 1.0
+    np.maximum(out, x >= 0, out=out)
     np.divide(out, denom, out=out)
-    np.divide(1.0, denom, out=out, where=x >= 0)
     return out
 
 
@@ -80,7 +83,9 @@ class Dense:
             raise ValueError(
                 f"dense layer expects (B, {self.W.shape[1]}), got {x.shape}"
             )
-        return x @ self.W.T + self.b, x
+        y = x @ self.W.T
+        y += self.b
+        return y, x
 
     def backward(self, cache, dy):
         x = cache
@@ -126,7 +131,8 @@ class Conv2D:
         win = win[:, :, ::s, ::s]
         patches = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, ho * wo, -1)
         flat_w = self.W.reshape(self.out_channels, -1)
-        out = patches @ flat_w.T + self.b
+        out = patches @ flat_w.T
+        out += self.b
         out = out.transpose(0, 2, 1).reshape(batch, self.out_channels, ho, wo)
         return out, (x.shape, patches)
 
@@ -179,7 +185,9 @@ class Activation:
     def backward(self, cache, dy):
         if self.kind == "sigmoid":
             y = cache
-            return dy * y * (1.0 - y), None
+            dx = dy * y
+            dx *= 1.0 - y
+            return dx, None
         return dy * (cache > 0), None
 
 

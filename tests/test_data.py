@@ -169,6 +169,15 @@ class TestClientDataset:
         assert np.array_equal(data.class_indices(2), np.array([0, 2, 3]))
         assert data.class_indices(3).size == 0
 
+    def test_present_labels_are_the_sorted_distinct_labels(self):
+        data = ClientDataset(np.zeros((5, 2)), np.array([4, 1, 4, 2, 1]), 5)
+        present = data.present_labels
+        assert present.dtype == np.int64
+        assert np.array_equal(present, np.unique(data.ys))
+        assert present is data.present_labels
+        with pytest.raises(ValueError, match="read-only"):
+            present[0] = 3
+
 
 def test_idx_data_feeds_an_image_model(tmp_path):
     # end-to-end: 28x28 IDX files load and drive the conv model

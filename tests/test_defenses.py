@@ -1,6 +1,8 @@
 """Defense tests: noise statistics, clipping arithmetic, compression
 mechanics with residual carry, and the conservation invariant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,13 @@ class TestDefenseSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown defense"):
             DefenseSpec("blur")
+
+    def test_direct_construction_checks_declared_types(self):
+        with pytest.raises(ValueError, match="'sigma' must be float"):
+            DefenseSpec("noise", sigma="0.1")
+        with pytest.raises(ValueError, match="'theta' must be float"):
+            replace(DefenseSpec("compress", theta=0.8), theta=True)
+        assert DefenseSpec("noise", sigma=1).sigma == 1
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown defense fields"):

@@ -100,7 +100,7 @@ class TestConfigValidation:
         # trials run one after another; "workers": 1 is the only value that
         # still loads, and the CLI has no --workers flag
         assert small_config(workers=1) == small_config()
-        for workers in (0, 2):
+        for workers in (0, 2, True, 1.0):
             with pytest.raises(ValueError, match="workers"):
                 small_config(workers=workers)
         config = tmp_path / "c.json"
@@ -110,6 +110,15 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", str(config), "--workers", "2"])
         assert exc.value.code == 2
+
+    def test_direct_construction_checks_declared_types(self):
+        with pytest.raises(ValueError, match="'trials' must be int"):
+            ExperimentConfig("asr_vs_batchsize", trials="3")
+        with pytest.raises(ValueError, match="'eta' must be float"):
+            replace(small_config(), eta="0.1")
+        with pytest.raises(ValueError, match="'defenses' must be tuple"):
+            ExperimentConfig("defense_sweep", defenses=({"kind": "none"},))
+        assert replace(small_config(), trials=5, eta=1).trials == 5
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "config.json"

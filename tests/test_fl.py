@@ -78,6 +78,21 @@ class TestMakeBatch:
         statistic = float(((counts - expected) ** 2 / expected).sum())
         assert statistic < 21.666
 
+    @pytest.mark.parametrize("size", [1, 4, 32])
+    def test_unpinned_draws_match_labels_read_from_the_data(self, pool, size):
+        # the label pair is drawn from np.unique(ys), as it was before the
+        # dataset cached its labels; a pool missing classes 1 and 6 shows
+        # that only present labels are drawn
+        part = pool.subset(np.flatnonzero((pool.ys != 1) & (pool.ys != 6)))
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, ys = make_batch(part, BatchSpec(size), rng)
+            dominant, secondary = ref.choice(np.unique(part.ys), size=2, replace=False)
+            _, expected = make_batch(part, BatchSpec(size, dominant=int(dominant),
+                                                     secondary=int(secondary)), ref)
+            assert np.array_equal(ys, expected)
+            assert rng.random() == ref.random()
+
     def test_unbalanced_needs_two_labels(self):
         single, _ = synth_generate(SyntheticSpec(
             n_classes=2, input_dim=4, samples_per_class=20, seed=11

@@ -102,6 +102,19 @@ def two_branch_sigmoid(x):
     return out
 
 
+def laid_out(data, shape, layout, elements):
+    """An array of the given shape, drawn C-contiguous, as the transpose of
+    a drawn array, or as every other column of a drawn array."""
+    if layout == "transposed":
+        return data.draw(arrays(np.float64, shape[::-1], elements=elements)).T
+    if layout == "strided":
+        wide = data.draw(arrays(np.float64, shape[:-1] + (2 * shape[-1],), elements=elements))
+        return wide[..., ::2]
+    return data.draw(arrays(np.float64, shape, elements=elements))
+
+
+LAYOUTS = st.sampled_from(["contiguous", "transposed", "strided"])
+FINITE = st.floats(-1e3, 1e3)
 SIGMOID_ELEMENTS = st.one_of(
     st.floats(-1e4, 1e4),
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4]),
@@ -110,17 +123,10 @@ SIGMOID_ELEMENTS = st.one_of(
 
 class TestSigmoid:
     @settings(deadline=None, max_examples=200)
-    @given(data=st.data(), layout=st.sampled_from(["contiguous", "transposed", "strided"]))
+    @given(data=st.data(), layout=LAYOUTS)
     def test_matches_the_two_branch_formula_bit_for_bit(self, data, layout):
         shape = data.draw(array_shapes(min_dims=2, max_dims=4, max_side=6))
-        if layout == "strided":
-            base = data.draw(arrays(np.float64, shape[:-1] + (2 * shape[-1],),
-                                    elements=SIGMOID_ELEMENTS))
-            x = base[..., ::2]
-        else:
-            x = data.draw(arrays(np.float64, shape, elements=SIGMOID_ELEMENTS))
-            if layout == "transposed":
-                x = x.T
+        x = laid_out(data, shape, layout, SIGMOID_ELEMENTS)
         expected = two_branch_sigmoid(x)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             got = sigmoid(x)
@@ -128,6 +134,54 @@ class TestSigmoid:
         assert not np.shares_memory(got, x)
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.isnan(got), np.isnan(x))
+
+
+class TestLayerKernels:
+    """The forward bias adds and the sigmoid backward work in place on a
+    fresh temporary; each must give the bits of the expression it replaced."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), layout=LAYOUTS, batch=st.integers(1, 9),
+           dims=st.tuples(st.integers(1, 12), st.integers(1, 12)), seed=st.integers(0, 99))
+    def test_dense_forward_matches_the_affine_expression_bit_for_bit(
+            self, data, layout, batch, dims, seed):
+        layer = Dense(*dims, np.random.default_rng(seed))
+        x = laid_out(data, (batch, dims[0]), layout, FINITE)
+        expected = x @ layer.W.T + layer.b
+        y, cache = layer.forward(x)
+        assert cache is x
+        assert np.array_equal(y, expected)
+        assert not any(np.shares_memory(y, arr) for arr in (x, layer.W, layer.b))
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), layout=LAYOUTS, batch=st.integers(1, 4),
+           channels=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           hw=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+           kernel=st.integers(1, 3), stride=st.integers(1, 2), seed=st.integers(0, 99))
+    def test_conv_forward_matches_the_affine_expression_bit_for_bit(
+            self, data, layout, batch, channels, hw, kernel, stride, seed):
+        layer = Conv2D(*channels, kernel, stride, np.random.default_rng(seed))
+        x = laid_out(data, (batch, channels[0], *hw), layout, FINITE)
+        out, (x_shape, patches) = layer.forward(x)
+        flat_w = layer.W.reshape(layer.out_channels, -1)
+        ho, wo = layer.output_hw(*hw)
+        expected = (patches @ flat_w.T + layer.b).transpose(0, 2, 1).reshape(
+            batch, layer.out_channels, ho, wo)
+        assert x_shape == x.shape
+        assert np.array_equal(out, expected)
+        assert not any(np.shares_memory(out, arr) for arr in (x, patches, layer.W, layer.b))
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), layout=LAYOUTS,
+           shape=array_shapes(min_dims=2, max_dims=4, max_side=6))
+    def test_sigmoid_backward_matches_the_product_bit_for_bit(self, data, layout, shape):
+        y = laid_out(data, shape, layout, st.floats(0.0, 1.0))
+        dy = laid_out(data, shape, data.draw(LAYOUTS), st.floats(-1e6, 1e6))
+        expected = dy * y * (1.0 - y)
+        dx, none = Activation("sigmoid").backward(y, dy)
+        assert none is None
+        assert np.array_equal(dx, expected)
+        assert not np.shares_memory(dx, y) and not np.shares_memory(dx, dy)
 
 
 class TestCrossEntropy:
