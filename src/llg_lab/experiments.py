@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -107,6 +107,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_types(self, "config")
+        # a tuple field given as a list is stored as a tuple, so that a
+        # config built directly or by `replace` hashes and compares like one
+        # loaded from JSON
+        for name, hint in get_type_hints(type(self)).items():
+            if get_origin(hint) is tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
@@ -181,14 +187,9 @@ class ExperimentConfig:
         if "defense" in raw:
             raw["defenses"] = [raw.pop("defense")]
         check_fields(cls, raw, "config")
-        for key in ("attacks", "batch_sizes", "defenses"):
-            if isinstance(raw.get(key), list):
-                raw[key] = tuple(raw[key])
-        if isinstance(raw.get("defenses"), tuple):
-            raw["defenses"] = tuple(
-                d if isinstance(d, DefenseSpec) else DefenseSpec.from_dict(d)
-                for d in raw["defenses"]
-            )
+        if isinstance(raw.get("defenses"), (list, tuple)):
+            raw["defenses"] = [d if isinstance(d, DefenseSpec) else DefenseSpec.from_dict(d)
+                               for d in raw["defenses"]]
         return cls(**raw)
 
 

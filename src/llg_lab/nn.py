@@ -8,6 +8,7 @@ give bit-identical runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ __all__ = [
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
 
 
@@ -95,6 +96,23 @@ class Dense:
         return dx, (dW, db)
 
 
+@functools.cache
+def _patch_index(channels: int, h: int, w: int, k: int, s: int) -> np.ndarray:
+    """Read-only (ho*wo, C*k*k) flat indices into a channels-last (H, W, C)
+    image: entry [i*wo + j, (c*k + di)*k + dj] is
+    ((i*s + di)*W + (j*s + dj))*C + c, the element (c, i*s + di, j*s + dj)."""
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    i = np.arange(ho).reshape(ho, 1, 1, 1, 1)
+    j = np.arange(wo).reshape(1, wo, 1, 1, 1)
+    c = np.arange(channels).reshape(1, 1, channels, 1, 1)
+    di = np.arange(k).reshape(1, 1, 1, k, 1)
+    dj = np.arange(k).reshape(1, 1, 1, 1, k)
+    idx = ((i * s + di) * w + (j * s + dj)) * channels + c
+    idx = idx.reshape(ho * wo, channels * k * k)
+    idx.setflags(write=False)
+    return idx
+
+
 class Conv2D:
     """Valid (unpadded) 2-D convolution over NCHW batches."""
 
@@ -123,13 +141,19 @@ class Conv2D:
             raise ValueError(
                 f"conv layer expects (B, {self.in_channels}, H, W), got {x.shape}"
             )
-        batch, _, h, w = x.shape
-        k, s = self.kernel, self.stride
+        batch, channels, h, w = x.shape
         ho, wo = self.output_hw(h, w)
-        # (B, C, H-k+1, W-k+1, k, k) windows, subsampled by the stride
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]
-        patches = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, ho * wo, -1)
+        # im2col as one gather of cached flat indices: row i*wo + j of
+        # patches is the k x k window at output pixel (i, j), its columns in
+        # the (c, di, dj) order of flat_w. Reading x channels-last costs
+        # nothing on the hot path: this layer's output and the sigmoid after
+        # it are channels-last views, and a C = 1 input is contiguous either
+        # way; any other layout is copied once. The gather only copies
+        # values, into a fresh C-contiguous (B, ho*wo, C*k*k) array, so the
+        # product and its bits depend on those values alone, and backward
+        # reads the same patches.
+        idx = _patch_index(channels, h, w, self.kernel, self.stride)
+        patches = x.transpose(0, 2, 3, 1).reshape(batch, -1).take(idx, axis=1)
         flat_w = self.W.reshape(self.out_channels, -1)
         out = patches @ flat_w.T
         out += self.b
@@ -376,7 +400,7 @@ class Network:
 
     def _shape_batch(self, batch) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
-        flat = int(np.prod(self.input_shape))
+        flat = math.prod(self.input_shape)
         if x.ndim == 2 and x.shape[1] == flat:
             return x.reshape(x.shape[0], *self.input_shape)
         if x.ndim == 1 + len(self.input_shape) and x.shape[1:] == self.input_shape:

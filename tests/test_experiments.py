@@ -120,6 +120,18 @@ class TestConfigValidation:
             ExperimentConfig("defense_sweep", defenses=({"kind": "none"},))
         assert replace(small_config(), trials=5, eta=1).trials == 5
 
+    def test_tuple_fields_given_as_lists_hash_and_compare_as_loaded(self):
+        lists = dict(attacks=["llg"], batch_sizes=[4], defenses=[DefenseSpec()])
+        loaded = ExperimentConfig.from_dict(
+            {**lists, "experiment": "defense_sweep", "defenses": [{"kind": "none"}]})
+        direct = ExperimentConfig("defense_sweep", **lists)
+        replaced = replace(ExperimentConfig("defense_sweep"), **lists)
+        for config in (loaded, direct, replaced):
+            assert config == loaded
+            assert hash(config) == hash(loaded)
+            assert all(type(getattr(config, name)) is tuple for name in lists)
+        assert replace(loaded, batch_sizes=[8]) == replace(loaded, batch_sizes=(8,))
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")

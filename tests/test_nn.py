@@ -17,6 +17,7 @@ from llg_lab.nn import (
     Gradients,
     LastLayerGradient,
     Network,
+    _patch_index,
     cross_entropy_loss,
     mlp,
     output_gradient,
@@ -121,6 +122,25 @@ SIGMOID_ELEMENTS = st.one_of(
 )
 
 
+def conv_input(data, shape, layout):
+    """A (B, C, H, W) array in one of laid_out's layouts or as the
+    channels-last view that Conv2D and sigmoid outputs are."""
+    if layout == "channels_last":
+        batch, channels, h, w = shape
+        drawn = data.draw(arrays(np.float64, (batch, h, w, channels), elements=FINITE))
+        return drawn.transpose(0, 3, 1, 2)
+    return laid_out(data, shape, layout, FINITE)
+
+
+def sliding_window_patches(x, k, s):
+    """The im2col copy the gather replaced: every k x k window, subsampled
+    by the stride, one row per output pixel and (c, di, dj) columns."""
+    batch, _, h, w = x.shape
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, ho * wo, -1)
+
+
 class TestSigmoid:
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), layout=LAYOUTS)
@@ -138,7 +158,8 @@ class TestSigmoid:
 
 class TestLayerKernels:
     """The forward bias adds and the sigmoid backward work in place on a
-    fresh temporary; each must give the bits of the expression it replaced."""
+    fresh temporary, and the conv patches are one gather; each must give the
+    bits of the expression it replaced."""
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), layout=LAYOUTS, batch=st.integers(1, 9),
@@ -170,6 +191,28 @@ class TestLayerKernels:
         assert x_shape == x.shape
         assert np.array_equal(out, expected)
         assert not any(np.shares_memory(out, arr) for arr in (x, patches, layer.W, layer.b))
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(),
+           layout=st.sampled_from(["contiguous", "transposed", "strided", "channels_last"]),
+           batch=st.integers(1, 4), channels=st.integers(1, 4),
+           hw=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+           kernel=st.integers(1, 3), stride=st.integers(1, 2))
+    def test_conv_patches_match_the_sliding_window_copy_bit_for_bit(
+            self, data, layout, batch, channels, hw, kernel, stride):
+        layer = Conv2D(channels, 2, kernel, stride, np.random.default_rng(0))
+        x = conv_input(data, (batch, channels, *hw), layout)
+        misses = _patch_index.cache_info().misses
+        _, (_, patches) = layer.forward(x)
+        _, (_, again) = layer.forward(x)
+        assert _patch_index.cache_info().misses <= misses + 1
+        assert np.array_equal(patches, sliding_window_patches(x, kernel, stride))
+        assert np.array_equal(again, patches)
+        assert patches.flags.c_contiguous
+        assert not np.shares_memory(patches, x)
+        idx = _patch_index(channels, *hw, kernel, stride)
+        assert not idx.flags.writeable
+        assert _patch_index(channels, *hw, kernel, stride) is idx
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), layout=LAYOUTS,
