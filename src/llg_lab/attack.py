@@ -183,15 +183,11 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
         )
     target = last.sample_count
     counts = np.zeros(n, dtype=np.int64)
-    extracted = 0
-    for i in range(n):
-        if extracted >= target:
-            # only reachable on obfuscated gradients with spurious negatives
-            break
-        if g[i] < 0:
-            counts[i] += 1
-            g[i] -= params.impact
-            extracted += 1
+    # the first |D| negatives; obfuscated gradients can show more than |D|
+    present = np.flatnonzero(g < 0)[:target]
+    counts[present] = 1
+    g[present] -= params.impact
+    extracted = present.size
     g -= params.offsets
     while extracted < target:
         i = int(np.argmin(g))

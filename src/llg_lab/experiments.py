@@ -22,6 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .attack import (
+    DUMMY_KINDS,
     AttackParams,
     NoNegativeGradients,
     estimate_impact_shared,
@@ -34,6 +35,7 @@ from .attack import (
 from .data import SyntheticSpec, partition_clients, synth_generate
 from .defenses import CompressionState, DefenseSpec, apply_defense, check_fields, check_types
 from .fl import (
+    BALANCES,
     BatchSpec,
     VALID_BATCH_SIZES,
     local_train_fedavg,
@@ -44,7 +46,7 @@ from .fl import (
 )
 from .labels import LabelMultiset
 from .metrics import attack_success_rate, hellinger, pearson, test_accuracy
-from .nn import mlp, small_cnn
+from .nn import Activation, mlp, small_cnn
 
 ATTACKS = ("llg", "llg_star", "llg_plus", "random")
 MODELS = ("mlp", "cnn")
@@ -133,8 +135,9 @@ class ExperimentConfig:
         bad = [b for b in self.batch_sizes if b not in VALID_BATCH_SIZES]
         if bad:
             raise ValueError(f"batch sizes must be powers of two in [1, 128]; bad: {bad}")
-        if self.balance not in ("balanced", "unbalanced"):
-            raise ValueError(f"balance must be 'balanced' or 'unbalanced', got {self.balance!r}")
+        if self.balance not in BALANCES:
+            raise ValueError(f"balance must be {' or '.join(map(repr, BALANCES))}, "
+                             f"got {self.balance!r}")
         if not self.defenses:
             raise ValueError("defenses may not be empty; use kind 'none'")
         if self.trials < 1:
@@ -151,9 +154,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"the cnn model needs a square input_dim, got {self.input_dim}"
                 )
-        if self.activation not in ("sigmoid", "relu"):
-            raise ValueError(f"activation must be 'sigmoid' or 'relu', got {self.activation!r}")
-        if self.dummy_kind not in ("zeros", "ones", "uniform_random"):
+        if self.activation not in Activation.KINDS:
+            raise ValueError(f"activation must be {' or '.join(map(repr, Activation.KINDS))}, "
+                             f"got {self.activation!r}")
+        if self.dummy_kind not in DUMMY_KINDS:
             raise ValueError(f"unknown dummy_kind {self.dummy_kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")

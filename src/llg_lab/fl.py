@@ -8,7 +8,7 @@ FedAvg) plus the number of samples that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .labels import LabelMultiset
 from .nn import Gradients, LastLayerGradient, Network, output_gradient
 
 VALID_BATCH_SIZES = tuple(2 ** k for k in range(8))
+BALANCES = ("balanced", "unbalanced")
 
 
 @dataclass(frozen=True)
@@ -25,28 +26,21 @@ class BatchSpec:
 
     Unbalanced batches take floor(B/2) samples of a dominant label, floor(B/4)
     of a second label, and the remainder uniformly at random; balanced batches
-    are drawn uniformly from the dataset. The dominant/secondary labels are
-    redrawn for every batch unless pinned (FedAvg pins the dominant label for
-    a whole round so the client's local data keeps a consistent skew, while
-    redrawing the secondary per batch).
+    are drawn uniformly from the dataset. make_batch draws the (dominant,
+    secondary) pair for every batch unless it is given one.
     """
 
     size: int
     balance: str = "unbalanced"
-    dominant: int | None = None
-    secondary: int | None = None
 
     def __post_init__(self):
         if self.size not in VALID_BATCH_SIZES:
             raise ValueError(
                 f"batch size must be a power of two in [1, 128], got {self.size}"
             )
-        if self.balance not in ("balanced", "unbalanced"):
-            raise ValueError(f"balance must be 'balanced' or 'unbalanced', got {self.balance!r}")
-        if (self.dominant is None) != (self.secondary is None):
-            raise ValueError("pin both dominant and secondary labels or neither")
-        if self.dominant is not None and self.dominant == self.secondary:
-            raise ValueError("dominant and secondary labels must differ")
+        if self.balance not in BALANCES:
+            raise ValueError(f"balance must be {' or '.join(map(repr, BALANCES))}, "
+                             f"got {self.balance!r}")
 
 
 def _draw_from(indices: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,19 +51,27 @@ def _draw_from(indices: np.ndarray, count: int, rng: np.random.Generator) -> np.
     return rng.choice(indices, size=count, replace=replace)
 
 
-def make_batch(dataset: ClientDataset, spec: BatchSpec,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one batch; returns (features, labels) with labels in [1, n]."""
+def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
+               pair: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one batch; returns (features, labels) with labels in [1, n].
+
+    An unbalanced batch takes its (dominant, secondary) labels from pair, or
+    draws two distinct present labels when pair is None; a balanced batch
+    takes no pair.
+    """
     if spec.balance == "balanced":
+        if pair is not None:
+            raise ValueError("a balanced batch takes no label pair")
         idx = rng.integers(0, len(dataset), size=spec.size)
     else:
         present = dataset.present_labels
         if len(present) < 2:
             raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
-        if spec.dominant is not None:
-            dominant, secondary = spec.dominant, spec.secondary
-        else:
-            dominant, secondary = rng.choice(present, size=2, replace=False)
+        if pair is None:
+            pair = rng.choice(present, size=2, replace=False)
+        dominant, secondary = pair
+        if dominant == secondary:
+            raise ValueError("dominant and secondary labels must differ")
         n_dom = spec.size // 2
         n_sec = spec.size // 4
         n_rest = spec.size - n_dom - n_sec
@@ -113,29 +115,26 @@ def local_train_fedavg(net: Network, dataset: ClientDataset, spec: BatchSpec,
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    pin_labels = spec.balance == "unbalanced" and spec.dominant is None
-    if pin_labels:
+    pair = None
+    if spec.balance == "unbalanced":
         present = dataset.present_labels
         if len(present) < 2:
             raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
         # the round keeps one dominant label (the client's data skew); the
         # secondary is redrawn per batch. The first pair is drawn exactly
         # like make_batch would, so gamma=1 stays bit-identical to FedSGD.
-        dominant, secondary = rng.choice(present, size=2, replace=False)
-        others = present[present != dominant]
+        pair = rng.choice(present, size=2, replace=False)
+        others = present[present != pair[0]]
     local = net.copy()
     accumulated: Gradients | None = None
     seen = np.zeros(net.n_classes, dtype=np.int64)
     for step in range(gamma):
-        batch_spec = spec
-        if pin_labels:
-            if step > 0:
-                secondary = rng.choice(others)
-            batch_spec = replace(spec, dominant=int(dominant), secondary=int(secondary))
-        batch, labels = make_batch(dataset, batch_spec, rng)
+        if pair is not None and step > 0:
+            pair = (pair[0], rng.choice(others))
+        batch, labels = make_batch(dataset, spec, rng, pair)
         logits, cache = local.forward(batch)
         grads = local.backward(cache, output_gradient(logits, labels))
-        accumulated = grads.copy() if accumulated is None else accumulated.add_(grads)
+        accumulated = grads if accumulated is None else accumulated.add_(grads)
         local.sgd_step(grads, eta)
         seen += np.bincount(labels - 1, minlength=net.n_classes)
     update = RoundUpdate(accumulated, gamma * spec.size)
@@ -153,13 +152,13 @@ def server_aggregate(updates: list[RoundUpdate], global_net: Network, eta: float
     return global_net.sgd_step(mean, eta)
 
 
-def select_clients(n_clients: int, per_round: int, rng: np.random.Generator,
-                   victim: int = 0) -> list[int]:
-    """Uniform selection without replacement; the victim always participates
-    so its update can be observed every round."""
+def select_clients(n_clients: int, per_round: int, rng: np.random.Generator) -> list[int]:
+    """Client 0, the victim, plus per_round - 1 of the others drawn uniformly
+    without replacement; the victim always participates so its update can be
+    observed every round."""
     if not 1 <= per_round <= n_clients:
         raise ValueError("per_round must be in [1, n_clients]")
-    others = np.array([c for c in range(n_clients) if c != victim])
+    others = np.arange(1, n_clients)
     chosen = rng.choice(others, size=per_round - 1, replace=False) if per_round > 1 else []
-    return [victim] + sorted(int(c) for c in chosen)
+    return [0] + sorted(int(c) for c in chosen)
 

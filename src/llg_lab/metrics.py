@@ -45,14 +45,11 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / np.sqrt(sx * sy))
 
 
-def test_accuracy(net: Network, dataset: ClientDataset, chunk: int = 1024) -> float:
-    """Fraction of samples whose argmax prediction matches the label."""
+def test_accuracy(net: Network, dataset: ClientDataset) -> float:
+    """Fraction of samples whose argmax prediction matches the label, from
+    one forward pass over the whole set."""
     if len(dataset) == 0:
         raise ValueError("test set must be non-empty")
-    correct = 0
-    for start in range(0, len(dataset), chunk):
-        xs = dataset.xs[start:start + chunk]
-        logits, _ = net.forward(xs)
-        predicted = logits.argmax(axis=1) + 1
-        correct += int((predicted == dataset.ys[start:start + chunk]).sum())
-    return correct / len(dataset)
+    logits, _ = net.forward(dataset.xs)
+    predicted = logits.argmax(axis=1) + 1
+    return int((predicted == dataset.ys).sum()) / len(dataset)

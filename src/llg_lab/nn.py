@@ -234,36 +234,25 @@ def _views(vector: np.ndarray, layout: tuple) -> list:
 
 
 class Gradients:
-    """Per-layer parameter gradients, aligned with a network's layer list and
-    packed into one float64 vector.
+    """Parameter gradients of a network: one float64 vector in the network's
+    `layout`, the order of its `params`.
 
-    by_layer entries are (dW, db) views into `vector` for parameterized
-    layers and None otherwise, so writing to a view writes to the vector and
-    whole-gradient arithmetic is one operation on the vector. `layout` holds
-    each entry's (dW shape, db shape) or None, as `Network.layout` does for
-    the network's `params`.
+    Whole-gradient arithmetic is one operation on the vector. by_layer holds
+    (dW, db) views into it for parameterized layers and None otherwise,
+    built when first read, so writing to a view writes to the vector.
     """
 
-    def __init__(self, by_layer: list):
-        layout = tuple(None if entry is None else (entry[0].shape, entry[1].shape)
-                       for entry in by_layer)
-        arrays = [arr for entry in by_layer if entry is not None for arr in entry]
-        self._pack(np.concatenate(arrays, axis=None, dtype=np.float64), layout)
-
-    def _pack(self, vector: np.ndarray, layout: tuple) -> None:
+    def __init__(self, vector: np.ndarray, layout: tuple):
         self.vector = vector
         self.layout = layout
-        self.by_layer = _views(vector, layout)
 
-    @classmethod
-    def _over(cls, vector: np.ndarray, layout: tuple) -> "Gradients":
-        out = object.__new__(cls)
-        out._pack(vector, layout)
-        return out
+    @functools.cached_property
+    def by_layer(self) -> list:
+        return _views(self.vector, self.layout)
 
     def like(self, vector: np.ndarray) -> "Gradients":
         """Gradients with this layout over the given vector (not copied)."""
-        return self._over(vector, self.layout)
+        return Gradients(vector, self.layout)
 
     def arrays(self):
         for entry in self.by_layer:
@@ -294,7 +283,7 @@ class Gradients:
 
     @classmethod
     def zeros_for(cls, net: "Network") -> "Gradients":
-        return cls._over(np.zeros_like(net.params), net.layout)
+        return cls(np.zeros_like(net.params), net.layout)
 
 
 @dataclass
@@ -433,9 +422,10 @@ class Network:
         for i in range(len(self.layers) - 1, -1, -1):
             d, grads = self.layers[i].backward(cache.layer_caches[i], d)
             by_layer[i] = grads
-        result = Gradients(by_layer)
-        _require_finite(result.vector, "parameter gradient")
-        return result
+        vector = np.concatenate([arr for grads in by_layer if grads is not None
+                                 for arr in grads], axis=None, dtype=np.float64)
+        _require_finite(vector, "parameter gradient")
+        return Gradients(vector, self.layout)
 
     def sgd_step(self, grads: Gradients, eta: float) -> "Network":
         """params <- params - eta * grads, i.e. W <- W - eta * dW for every

@@ -41,6 +41,28 @@ def last_from_g(g, sample_count):
     return LastLayerGradient(np.asarray(g, dtype=np.float64)[:, None], sample_count)
 
 
+def looped_extract(g, params: AttackParams, target: int) -> np.ndarray:
+    """The counts llg_extract gave when its step 1 walked the labels one by
+    one and stopped at |D|; kept as the oracle for the masked step 1."""
+    g = np.array(g, dtype=np.float64)
+    counts = np.zeros(g.size, dtype=np.int64)
+    extracted = 0
+    for i in range(g.size):
+        if extracted >= target:
+            break
+        if g[i] < 0:
+            counts[i] += 1
+            g[i] -= params.impact
+            extracted += 1
+    g -= params.offsets
+    while extracted < target:
+        i = int(np.argmin(g))
+        counts[i] += 1
+        g[i] -= params.impact
+        extracted += 1
+    return counts
+
+
 class TestImpactFromSharedGradients:
     def test_matches_direct_arithmetic(self):
         g = np.array([-0.5, 0.2, -0.3, 0.1, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0])
@@ -447,6 +469,23 @@ class TestExtraction:
         base = llg_extract(last_from_g(g, d), AttackParams(-scale, offsets, d))
         permuted = llg_extract(last_from_g(g[perm], d), AttackParams(-scale, offsets[perm], d))
         assert np.array_equal(permuted.counts, base.counts[perm])
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_masked_step_one_matches_the_label_loop(self, data):
+        # |D| up to n, so that more entries than |D| can be negative, as
+        # they are on obfuscated gradients; entries rounded to whole numbers
+        # tie; impacts cover -1e-20, zero and positive values
+        n = data.draw(st.integers(2, 12), label="n")
+        d = data.draw(st.integers(1, n), label="d")
+        rounded = data.draw(st.booleans(), label="rounded")
+        values = st.floats(-10, 10).map(round if rounded else float).map(float)
+        g = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="g"))
+        offsets = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        impact = data.draw(st.sampled_from([-1e-20, 0.0]) | st.floats(-10, 10), label="impact")
+        params = AttackParams(impact, offsets, d)
+        extracted = llg_extract(last_from_g(g, d), params)
+        assert np.array_equal(extracted.counts, looped_extract(g, params, d))
 
     def test_step_one_only_emits_present_labels(self, world):
         # zero violations allowed: a negative row sum proves membership

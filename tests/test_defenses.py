@@ -1,6 +1,7 @@
 """Defense tests: noise statistics, clipping arithmetic, compression
 mechanics with residual carry, and the conservation invariant."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -207,10 +208,9 @@ class TestCompression:
             st.tuples(array_shapes(max_dims=3, max_side=4), array_shapes(max_dims=1, max_side=4)),
             min_size=1, max_size=3))
         at = data.draw(st.integers(0, len(shapes)))
-        layout = shapes[:at] + [None] + shapes[at:]
-        zeros = [None if s is None else (np.zeros(s[0]), np.zeros(s[1])) for s in layout]
-        state = CompressionState(Gradients(zeros), theta)
-        size = state.residual.vector.size
+        layout = tuple(shapes[:at] + [None] + shapes[at:])
+        size = sum(math.prod(w) + math.prod(b) for w, b in shapes)
+        state = CompressionState(Gradients(np.zeros(size), layout), theta)
         raw_total = np.zeros(size)
         emitted_total = np.zeros(size)
         for _ in range(rounds):

@@ -34,18 +34,22 @@ class TestBatchSpec:
             BatchSpec(size)
 
     def test_unknown_balance_rejected(self):
-        with pytest.raises(ValueError, match="balance"):
+        with pytest.raises(ValueError, match="balance must be 'balanced' or 'unbalanced'"):
             BatchSpec(4, "mixed")
-
-    def test_pinned_labels_must_differ(self):
-        with pytest.raises(ValueError, match="must differ"):
-            BatchSpec(4, dominant=3, secondary=3)
 
 
 class TestMakeBatch:
+    def test_pinned_labels_must_differ(self, pool):
+        with pytest.raises(ValueError, match="must differ"):
+            make_batch(pool, BatchSpec(4), np.random.default_rng(0), pair=(3, 3))
+
+    def test_balanced_batch_takes_no_pair(self, pool):
+        with pytest.raises(ValueError, match="no label pair"):
+            make_batch(pool, BatchSpec(4, "balanced"), np.random.default_rng(0), pair=(1, 2))
+
     def test_unbalanced_composition_counts(self, pool):
-        spec = BatchSpec(4, "unbalanced", dominant=3, secondary=7)
-        xs, ys = make_batch(pool, spec, np.random.default_rng(0))
+        spec = BatchSpec(4, "unbalanced")
+        xs, ys = make_batch(pool, spec, np.random.default_rng(0), pair=(3, 7))
         assert xs.shape == (4, 16)
         # floor(4/2)=2 dominant, floor(4/4)=1 secondary, 1 free draw
         assert (ys == 3).sum() >= 2
@@ -55,8 +59,8 @@ class TestMakeBatch:
     def test_unbalanced_block_layout(self, pool):
         # the free remainder may collide with the pinned labels, so check
         # the deterministic blocks directly
-        spec = BatchSpec(8, "unbalanced", dominant=2, secondary=5)
-        _, ys = make_batch(pool, spec, np.random.default_rng(1))
+        spec = BatchSpec(8, "unbalanced")
+        _, ys = make_batch(pool, spec, np.random.default_rng(1), pair=(2, 5))
         assert np.array_equal(ys[:4], np.full(4, 2))
         assert np.array_equal(ys[4:6], np.full(2, 5))
 
@@ -87,9 +91,8 @@ class TestMakeBatch:
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             _, ys = make_batch(part, BatchSpec(size), rng)
-            dominant, secondary = ref.choice(np.unique(part.ys), size=2, replace=False)
-            _, expected = make_batch(part, BatchSpec(size, dominant=int(dominant),
-                                                     secondary=int(secondary)), ref)
+            pair = ref.choice(np.unique(part.ys), size=2, replace=False)
+            _, expected = make_batch(part, BatchSpec(size), ref, pair=tuple(pair))
             assert np.array_equal(ys, expected)
             assert rng.random() == ref.random()
 
@@ -111,8 +114,8 @@ class TestFedSgd:
             if hasattr(layer, "W"):
                 layer.W[:] = 0.0
                 layer.b[:] = 0.0
-        xs, ys = make_batch(pool, BatchSpec(32, "unbalanced", dominant=4, secondary=9),
-                            np.random.default_rng(4))
+        xs, ys = make_batch(pool, BatchSpec(32, "unbalanced"), np.random.default_rng(4),
+                            pair=(4, 9))
         update = local_train_fedsgd(net, xs, ys)
         g = update.last_layer().g
         counts = np.bincount(ys - 1, minlength=10)
@@ -259,7 +262,7 @@ class TestServerAggregate:
 
 class TestOrchestration:
     def test_select_clients_includes_victim_without_duplicates(self):
-        chosen = select_clients(20, 5, np.random.default_rng(0), victim=0)
+        chosen = select_clients(20, 5, np.random.default_rng(0))
         assert chosen[0] == 0
         assert len(chosen) == 5
         assert len(set(chosen)) == 5

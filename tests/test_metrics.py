@@ -139,15 +139,6 @@ class TestTestAccuracy:
         data = ClientDataset(xs, ys, 3)
         assert accuracy_on(net, data) == pytest.approx(correct / 5.0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(size=st.integers(1, 80), data=st.data())
-    def test_does_not_depend_on_chunk(self, size, data):
-        chunk = data.draw(st.integers(1, size + 1), label="chunk")
-        rng = np.random.default_rng(size)
-        net = mlp(6, 4, seed=size)
-        dataset = ClientDataset(rng.normal(size=(size, 6)), rng.integers(1, 5, size=size), 4)
-        assert accuracy_on(net, dataset, chunk=chunk) == accuracy_on(net, dataset, chunk=size)
-
 
 class TestScoreAgreement:
     @settings(max_examples=200, deadline=None)

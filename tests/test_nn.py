@@ -418,10 +418,8 @@ class TestSgdStep:
         net = mlp(4, 3, hidden=5, seed=5)
         (w_shape, b_shape), *rest = net.layout
         # the same number of entries, the first weight matrix flattened
-        other = [(np.zeros(math.prod(w_shape)), np.zeros(b_shape))]
-        other += [None if s is None else (np.zeros(s[0]), np.zeros(s[1])) for s in rest]
-        grads = Gradients(other)
-        assert grads.vector.size == net.params.size
+        grads = Gradients(np.zeros(net.params.size), (((math.prod(w_shape),), b_shape), *rest))
+        assert sum(arr.size for arr in grads.arrays()) == net.params.size
         before = net.params.copy()
         with pytest.raises(ValueError, match="gradient shapes do not match layer parameters"):
             net.sgd_step(grads, 0.1)
@@ -442,7 +440,7 @@ class TestSgdStep:
     def test_scalar_update_arithmetic(self):
         net = single_dense_net(1, 2)
         net.head.W[:] = 1.0
-        grads = Gradients([(np.full((2, 1), 2.0), np.zeros(2))])
+        grads = Gradients(np.array([2.0, 2.0, 0.0, 0.0]), net.layout)
         net.sgd_step(grads, 0.1)
         assert net.head.W == pytest.approx(np.full((2, 1), 0.8), rel=1e-15)
 
@@ -528,6 +526,21 @@ class TestPackedGradients:
             assert grads.l2_norm() == math.sqrt(total)
             reordered += float(np.sqrt((grads.vector * grads.vector).sum())) != math.sqrt(total)
         assert reordered > 0  # the check can tell the two orders apart
+
+    @pytest.mark.parametrize("make", [lambda: mlp(4, 3, seed=5),
+                                      lambda: small_cnn((6, 6), 3, channels=2, seed=5),
+                                      lambda: hand_made_net(5)])
+    def test_backward_packs_in_the_network_layout_with_views(self, make):
+        net = make()
+        x = np.random.default_rng(3).random((2, math.prod(net.input_shape)))
+        logits, cache = net.forward(x)
+        grads = net.backward(cache, output_gradient(logits, [1, 3]))
+        assert grads.layout is net.layout
+        arrays = list(grads.arrays())
+        assert [arr.shape for arr in arrays] == [arr.shape for arr in param_arrays(net)]
+        assert all(np.shares_memory(arr, grads.vector) for arr in arrays)
+        assert all(np.shares_memory(arr, grads.vector) for arr in grads.head)
+        assert np.array_equal(np.concatenate([arr.ravel() for arr in arrays]), grads.vector)
 
 
 class TestDeterminismAndSigns:
