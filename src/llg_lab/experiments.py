@@ -244,7 +244,7 @@ def _victim_update(config: ExperimentConfig, net, pool, batch_size: int, rng):
         xs, ys = make_batch(pool, spec, rng)
         update = local_train_fedsgd(net, xs, ys)
         return update, LabelMultiset.from_labels(ys, config.n_classes)
-    return local_train_fedavg(net, pool, spec, config.gamma, config.eta, rng)
+    return local_train_fedavg(net, [pool], spec, config.gamma, config.eta, [rng])[0]
 
 
 def _guesses(config: ExperimentConfig, kind_idx: int, net, aux, batch_size: int,
@@ -355,15 +355,19 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
     clients = partition_clients(pool, config.n_clients, config.samples_per_client,
                                 rng_for(master, _STREAM_PARTITION))
     net = _build_model(config, seed_of(master, kind_idx, _STREAM_MODEL))
+    spec = BatchSpec(batch_size, config.balance)
+    # FedSGD is the gamma = 1 case of FedAvg, bit for bit
+    gamma = config.gamma if config.algorithm == "fedavg" else 1
     states: dict[int, CompressionState] = {}
     rows: list[ResultRow] = []
     for round_idx in range(1, config.rounds + 1):
         selected = select_clients(config.n_clients, config.clients_per_round,
                                   rng_for(master, kind_idx, round_idx, _STREAM_SELECT))
+        rngs = [rng_for(master, cid, round_idx) for cid in selected]
+        trained = local_train_fedavg(net, [clients[cid] for cid in selected], spec, gamma,
+                                     config.eta, rngs)
         updates = []
-        for cid in selected:
-            update, truth = _victim_update(config, net, clients[cid], batch_size,
-                                           rng_for(master, cid, round_idx))
+        for cid, (update, truth) in zip(selected, trained):
             if defense.kind != "none":
                 if defense.kind == "compress" and cid not in states:
                     states[cid] = CompressionState.for_network(net, defense.theta)

@@ -72,6 +72,9 @@ def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator
         dominant, secondary = pair
         if dominant == secondary:
             raise ValueError("dominant and secondary labels must differ")
+        for label in pair:
+            if not len(dataset.class_indices(label)):
+                raise ValueError(f"pair label {int(label)} is absent from the dataset")
         n_dom = spec.size // 2
         n_sec = spec.size // 4
         n_rest = spec.size - n_dom - n_sec
@@ -103,42 +106,54 @@ def local_train_fedsgd(net: Network, batch: np.ndarray, labels) -> RoundUpdate:
     return RoundUpdate(grads, len(labels))
 
 
-def local_train_fedavg(net: Network, dataset: ClientDataset, spec: BatchSpec,
-                       gamma: int, eta: float,
-                       rng: np.random.Generator) -> tuple[RoundUpdate, LabelMultiset]:
-    """Run gamma local SGD steps on a copy of the model and share the summed
-    per-step gradients.
+def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchSpec,
+                       gamma: int, eta: float, rngs: list[np.random.Generator],
+                       ) -> list[tuple[RoundUpdate, LabelMultiset]]:
+    """Run gamma local SGD steps per client on its own copy of the model
+    and share each client's summed per-step gradients.
 
-    Returns the update plus the ground-truth multiset of all labels the local
-    steps consumed (gamma * B of them); the truth stays on the harness side
-    and is never visible to an attack.
+    Client c draws from datasets[c] with rngs[c] alone. The clients train as
+    one network with a leading client axis (`net.replicas`), row c of which
+    has the bits client c gets alone. Returns one (update, truth) per client,
+    in order; the truth is the multiset of all labels the local steps
+    consumed (gamma * B of them), never visible to an attack.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    pair = None
+    if not datasets or len(datasets) != len(rngs):
+        raise ValueError(f"need one rng per dataset, got {len(datasets)} datasets "
+                         f"and {len(rngs)} rngs")
+    pairs, others = [None] * len(datasets), [None] * len(datasets)
     if spec.balance == "unbalanced":
-        present = dataset.present_labels
-        if len(present) < 2:
-            raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
-        # the round keeps one dominant label (the client's data skew); the
-        # secondary is redrawn per batch. The first pair is drawn exactly
-        # like make_batch would, so gamma=1 stays bit-identical to FedSGD.
-        pair = rng.choice(present, size=2, replace=False)
-        others = present[present != pair[0]]
-    local = net.copy()
+        for c, (dataset, rng) in enumerate(zip(datasets, rngs)):
+            present = dataset.present_labels
+            if len(present) < 2:
+                raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
+            # the round keeps one dominant label (the client's data skew); the
+            # secondary is redrawn per batch. The first pair is drawn exactly
+            # like make_batch would, so gamma=1 is bit-identical to FedSGD.
+            pairs[c] = rng.choice(present, size=2, replace=False)
+            others[c] = present[present != pairs[c][0]]
+    local = net.replicas(len(datasets))
     accumulated: Gradients | None = None
-    seen = np.zeros(net.n_classes, dtype=np.int64)
+    labels_seen = []
     for step in range(gamma):
-        if pair is not None and step > 0:
-            pair = (pair[0], rng.choice(others))
-        batch, labels = make_batch(dataset, spec, rng, pair)
+        batches = []
+        for c, (dataset, rng) in enumerate(zip(datasets, rngs)):
+            if pairs[c] is not None and step > 0:
+                pairs[c] = (pairs[c][0], rng.choice(others[c]))
+            batches.append(make_batch(dataset, spec, rng, pairs[c]))
+        batch, labels = (np.stack(parts) for parts in zip(*batches))
         logits, cache = local.forward(batch)
         grads = local.backward(cache, output_gradient(logits, labels))
         accumulated = grads if accumulated is None else accumulated.add_(grads)
-        local.sgd_step(grads, eta)
-        seen += np.bincount(labels - 1, minlength=net.n_classes)
-    update = RoundUpdate(accumulated, gamma * spec.size)
-    return update, LabelMultiset(seen)
+        if step < gamma - 1:  # a step after the last gradient is never read
+            local.sgd_step(grads, eta)
+        labels_seen.append(labels)
+    seen = np.stack(labels_seen, axis=1).reshape(len(datasets), -1)
+    return [(RoundUpdate(accumulated.like(row), gamma * spec.size),
+             LabelMultiset.from_labels(labels, net.n_classes))
+            for row, labels in zip(accumulated.vector, seen)]
 
 
 def server_aggregate(updates: list[RoundUpdate], global_net: Network, eta: float) -> Network:

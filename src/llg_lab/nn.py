@@ -3,7 +3,9 @@ manual backpropagation, and SGD.
 
 Everything is float64. Parameter initialization is a pure function of the
 seed, and forward/backward contain no hidden randomness, so identical seeds
-give bit-identical runs.
+give bit-identical runs. Parameters and inputs may share leading axes, a
+stack of K networks (`Network.replicas`): slice c of each result has the
+bits the unstacked network gives for slice c.
 """
 
 from __future__ import annotations
@@ -80,18 +82,18 @@ class Dense:
         self.b = rng.uniform(-bound, bound, size=out_dim)
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.W.shape[1]:
+        if x.ndim != self.W.ndim or x.shape[-1] != self.W.shape[-1]:
             raise ValueError(
-                f"dense layer expects (B, {self.W.shape[1]}), got {x.shape}"
+                f"dense layer expects (B, {self.W.shape[-1]}), got {x.shape}"
             )
-        y = x @ self.W.T
-        y += self.b
+        y = x @ self.W.swapaxes(-1, -2)
+        y += self.b[..., None, :]
         return y, x
 
     def backward(self, cache, dy):
         x = cache
-        dW = dy.T @ x
-        db = dy.sum(axis=0)
+        dW = dy.swapaxes(-1, -2) @ x
+        db = dy.sum(axis=-2)
         dx = dy @ self.W
         return dx, (dW, db)
 
@@ -137,11 +139,11 @@ class Conv2D:
         return (h - k) // s + 1, (w - k) // s + 1
 
     def forward(self, x):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != self.W.ndim or x.shape[-3] != self.in_channels:
             raise ValueError(
                 f"conv layer expects (B, {self.in_channels}, H, W), got {x.shape}"
             )
-        batch, channels, h, w = x.shape
+        *batch, channels, h, w = x.shape
         ho, wo = self.output_hw(h, w)
         # im2col as one gather of cached flat indices: row i*wo + j of
         # patches is the k x k window at output pixel (i, j), its columns in
@@ -153,38 +155,41 @@ class Conv2D:
         # product and its bits depend on those values alone, and backward
         # reads the same patches.
         idx = _patch_index(channels, h, w, self.kernel, self.stride)
-        patches = x.transpose(0, 2, 3, 1).reshape(batch, -1).take(idx, axis=1)
-        flat_w = self.W.reshape(self.out_channels, -1)
-        out = patches @ flat_w.T
-        out += self.b
-        out = out.transpose(0, 2, 1).reshape(batch, self.out_channels, ho, wo)
+        patches = np.moveaxis(x, -3, -1).reshape(*batch, -1).take(idx, axis=-1)
+        # W as (out, C*k*k) after an axis of one for the batch
+        flat_w = self.W.reshape(*self.W.shape[:-4], 1, self.out_channels, -1)
+        out = patches @ flat_w.swapaxes(-1, -2)
+        out += self.b[..., None, None, :]
+        out = out.swapaxes(-1, -2).reshape(*batch, self.out_channels, ho, wo)
         return out, (x.shape, patches)
 
     def backward(self, cache, dy):
         x_shape, patches = cache
-        batch, channels, h, w = x_shape
+        *batch, channels, h, w = x_shape
         k, s = self.kernel, self.stride
         ho, wo = self.output_hw(h, w)
-        dy_flat = dy.reshape(batch, self.out_channels, ho * wo).transpose(0, 2, 1)
-        dW = np.tensordot(dy_flat, patches, axes=([0, 1], [0, 1]))
+        dy_flat = dy.reshape(*batch, self.out_channels, ho * wo)
+        # dW sums samples and pixels as one (out, B*ho*wo) @ (B*ho*wo, C*k*k)
+        lead = batch[:-1]
+        dy_rows = dy_flat.swapaxes(-3, -2).reshape(*lead, self.out_channels, -1)
+        dW = dy_rows @ patches.reshape(*lead, -1, patches.shape[-1])
         dW = dW.reshape(self.W.shape)
-        db = dy.sum(axis=(0, 2, 3))
-        dpatches = dy_flat @ self.W.reshape(self.out_channels, -1)
-        dpat = dpatches.reshape(batch, ho, wo, channels, k, k)
+        db = dy.sum(axis=(-4, -2, -1))
+        flat_w = self.W.reshape(*self.W.shape[:-4], 1, self.out_channels, -1)
+        dpatches = dy_flat.swapaxes(-1, -2) @ flat_w
+        dpat = np.moveaxis(dpatches.reshape(*batch, ho, wo, channels, k, k), -3, -5)
         dx = np.zeros(x_shape)
         for di in range(k):
             for dj in range(k):
-                dx[:, :, di:di + s * ho:s, dj:dj + s * wo:s] += (
-                    dpat[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-                )
+                dx[..., di:di + s * ho:s, dj:dj + s * wo:s] += dpat[..., di, dj]
         return dx, (dW, db)
 
 
 class Flatten:
-    """Reshape (B, ...) to (B, -1); parameter-free."""
+    """Reshape feature maps (..., B, C, H, W) to (..., B, C*H*W); parameter-free."""
 
     def forward(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(*x.shape[:-3], -1), x.shape
 
     def backward(self, cache, dy):
         return dy.reshape(cache), None
@@ -217,7 +222,8 @@ class Activation:
 
 def _views(vector: np.ndarray, layout: tuple) -> list:
     """Per-layer (W, b)-shaped views into a packed vector, None for layers
-    without parameters; layout holds each layer's (W shape, b shape) or None."""
+    without parameters; layout holds each layer's (W shape, b shape) or None,
+    after the vector's leading axes."""
     views: list = []
     pos = 0
     for shapes in layout:
@@ -227,7 +233,7 @@ def _views(vector: np.ndarray, layout: tuple) -> list:
         pair = []
         for shape in shapes:
             size = math.prod(shape)
-            pair.append(vector[pos:pos + size].reshape(shape))
+            pair.append(vector[..., pos:pos + size].reshape(*vector.shape[:-1], *shape))
             pos += size
         views.append(tuple(pair))
     return views
@@ -237,9 +243,10 @@ class Gradients:
     """Parameter gradients of a network: one float64 vector in the network's
     `layout`, the order of its `params`.
 
-    Whole-gradient arithmetic is one operation on the vector. by_layer holds
-    (dW, db) views into it for parameterized layers and None otherwise,
-    built when first read, so writing to a view writes to the vector.
+    Whole-gradient arithmetic is one operation on the vector, (k, P) for k
+    replicas. by_layer holds (dW, db) views into it for parameterized layers
+    and None otherwise, built when first read, so writing to a view writes
+    to the vector.
     """
 
     def __init__(self, vector: np.ndarray, layout: tuple):
@@ -319,7 +326,7 @@ class Cache:
     version: int
     batch_size: int
     layer_caches: list
-    penultimate: np.ndarray  # input to the final dense layer, shape (B, h)
+    penultimate: np.ndarray  # input to the final dense layer, shape (..., B, h)
 
 
 class Network:
@@ -334,7 +341,8 @@ class Network:
     the same `layout` as the network's Gradients. Construction copies the
     layers' parameters into it and rebinds each layer's W and b to views of
     it, so write parameters in place (`W[:] = ...`): assigning a new array
-    to `layer.W` detaches it from the network.
+    to `layer.W` detaches it from the network. `replicas(k)` stacks k copies
+    as one network with (k, P) params; it takes (k, B, ...) batches.
     """
 
     def __init__(self, layers: list, n_classes: int, input_shape: tuple):
@@ -380,19 +388,28 @@ class Network:
     def copy(self) -> "Network":
         """An independent network: parameterized layers are shallow clones
         rebound to a copy of `params`; parameter-free layers are shared."""
+        return self._clone(self.params.copy())
+
+    def replicas(self, k: int) -> "Network":
+        """An independent stack of k copies: (k, P) `params`, (k, ...) W and
+        b views, and row c of every batch, output and gradient is copy c's."""
+        return self._clone(np.tile(self.params, (k, 1)))
+
+    def _clone(self, params: np.ndarray) -> "Network":
         clone = object.__new__(Network)
         vars(clone).update(vars(self))
         clone.layers = [layer if shapes is None else _shallow(layer)
                         for layer, shapes in zip(self.layers, self.layout)]
-        clone._bind(self.params.copy())
+        clone._bind(params)
         return clone
 
     def _shape_batch(self, batch) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
-        flat = math.prod(self.input_shape)
-        if x.ndim == 2 and x.shape[1] == flat:
-            return x.reshape(x.shape[0], *self.input_shape)
-        if x.ndim == 1 + len(self.input_shape) and x.shape[1:] == self.input_shape:
+        lead = self.params.shape[:-1]
+        axes = len(lead) + 1  # the leading axes and the batch axis
+        if x.ndim == axes + 1 and x.shape[-1] == math.prod(self.input_shape):
+            x = x.reshape(*x.shape[:axes], *self.input_shape)
+        if x.shape[:len(lead)] == lead and x.shape[axes:] == self.input_shape:
             return x
         raise ValueError(
             f"batch of shape {x.shape} does not match input shape {self.input_shape}"
@@ -407,23 +424,25 @@ class Network:
             caches.append(cache)
         _require_finite(x, "logits")
         # the dense head caches its own input, i.e. the penultimate activations
-        return x, Cache(self._version, x.shape[0], caches, caches[-1])
+        return x, Cache(self._version, x.shape[-2], caches, caches[-1])
 
     def backward(self, cache: Cache, dlogits: np.ndarray) -> Gradients:
         if cache.version != self._version:
             raise ValueError("stale activation cache: parameters changed since forward")
         d = np.asarray(dlogits, dtype=np.float64)
-        if d.shape != (cache.batch_size, self.n_classes):
+        lead = self.params.shape[:-1]
+        if d.shape != (*lead, cache.batch_size, self.n_classes):
             raise ValueError(
                 f"output gradient of shape {d.shape} does not match "
-                f"({cache.batch_size}, {self.n_classes})"
+                f"{(*lead, cache.batch_size, self.n_classes)}"
             )
         by_layer: list = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             d, grads = self.layers[i].backward(cache.layer_caches[i], d)
             by_layer[i] = grads
-        vector = np.concatenate([arr for grads in by_layer if grads is not None
-                                 for arr in grads], axis=None, dtype=np.float64)
+        vector = np.concatenate([arr.reshape(*lead, -1) for grads in by_layer
+                                 if grads is not None for arr in grads],
+                                axis=-1, dtype=np.float64)
         _require_finite(vector, "parameter gradient")
         return Gradients(vector, self.layout)
 
@@ -445,10 +464,10 @@ def _shallow(layer):
     return clone
 
 
-def _check_labels(labels, n_classes: int, batch_size: int) -> np.ndarray:
+def _check_labels(labels, n_classes: int, shape: tuple) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.shape != (batch_size,):
-        raise ValueError(f"expected {batch_size} labels, got shape {labels.shape}")
+    if labels.shape != shape:
+        raise ValueError(f"expected labels of shape {shape}, got shape {labels.shape}")
     if labels.size and (labels.min() < 1 or labels.max() > n_classes):
         raise ValueError(f"labels must lie in [1, {n_classes}]")
     return labels.astype(np.int64)
@@ -457,16 +476,17 @@ def _check_labels(labels, n_classes: int, batch_size: int) -> np.ndarray:
 def output_gradient(logits: np.ndarray, labels) -> np.ndarray:
     """Per-sample gradient of the batch-mean cross-entropy w.r.t. the logits.
 
-    Shape (B, n). Its column sums are the aggregate per-class gradient
-    returned by cross_entropy_loss.
+    Shape (B, n), or (..., B, n) for (..., B) labels. Its column sums are the
+    aggregate per-class gradient returned by cross_entropy_loss.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
+    if z.ndim < 2:
         raise ValueError(f"logits must be (B, n), got shape {z.shape}")
-    batch_size, n = z.shape
-    idx = _check_labels(labels, n, batch_size)
+    batch_size, n = z.shape[-2:]
+    idx = _check_labels(labels, n, z.shape[:-1])
     p = softmax(z)
-    p[np.arange(batch_size), idx - 1] -= 1.0
+    rows = p.reshape(-1, n)  # a view: softmax returns a fresh array
+    rows[np.arange(len(rows)), idx.ravel() - 1] -= 1.0
     return p / batch_size
 
 
@@ -482,7 +502,7 @@ def cross_entropy_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     if z.ndim != 2:
         raise ValueError(f"logits must be (B, n), got shape {z.shape}")
     batch_size, n = z.shape
-    idx = _check_labels(labels, n, batch_size)
+    idx = _check_labels(labels, n, (batch_size,))
     shifted = z - z.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-logp[np.arange(batch_size), idx - 1].mean())

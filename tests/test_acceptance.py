@@ -379,8 +379,8 @@ def test_c10_numerical_core():
         spec = BatchSpec(8, "unbalanced")
         xs, ys = make_batch(train, spec, np.random.default_rng(42))
         sgd_update = local_train_fedsgd(net, xs, ys)
-        avg_update, _ = local_train_fedavg(net, train, spec, 1, 0.1,
-                                           np.random.default_rng(42))
+        avg_update, _ = local_train_fedavg(net, [train], spec, 1, 0.1,
+                                           [np.random.default_rng(42)])[0]
         identical = all(
             np.array_equal(a, b) for a, b in
             zip(sgd_update.gradients.arrays(), avg_update.gradients.arrays())

@@ -3,11 +3,17 @@ weighted aggregation, and the FedAvg(gamma=1) == FedSGD identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from llg_lab import experiments
 from llg_lab.data import SyntheticSpec, synth_generate
-from llg_lab.experiments import rng_for
+from llg_lab.experiments import ExperimentConfig, rng_for, run_experiment
 from llg_lab.fl import (
+    BALANCES,
+    VALID_BATCH_SIZES,
     BatchSpec,
+    RoundUpdate,
     local_train_fedavg,
     local_train_fedsgd,
     make_batch,
@@ -16,7 +22,7 @@ from llg_lab.fl import (
 )
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import test_accuracy as accuracy_on
-from llg_lab.nn import Gradients, mlp
+from llg_lab.nn import Gradients, mlp, output_gradient, small_cnn
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,12 @@ class TestMakeBatch:
     def test_pinned_labels_must_differ(self, pool):
         with pytest.raises(ValueError, match="must differ"):
             make_batch(pool, BatchSpec(4), np.random.default_rng(0), pair=(3, 3))
+
+    @pytest.mark.parametrize("pair", [(4, 2), (2, 4)])
+    def test_absent_pair_label_is_named(self, pool, pair):
+        without = pool.subset(pool.ys != 4)
+        with pytest.raises(ValueError, match="pair label 4 is absent from the dataset"):
+            make_batch(without, BatchSpec(4), np.random.default_rng(0), pair=pair)
 
     def test_balanced_batch_takes_no_pair(self, pool):
         with pytest.raises(ValueError, match="no label pair"):
@@ -153,8 +165,8 @@ class TestFedAvg:
         spec = BatchSpec(8, "unbalanced")
         xs, ys = make_batch(pool, spec, np.random.default_rng(8))
         sgd_update = local_train_fedsgd(net, xs, ys)
-        avg_update, truth = local_train_fedavg(net, pool, spec, 1, 0.1,
-                                               np.random.default_rng(8))
+        avg_update, truth = local_train_fedavg(net, [pool], spec, 1, 0.1,
+                                               [np.random.default_rng(8)])[0]
         for a, b in zip(sgd_update.gradients.arrays(), avg_update.gradients.arrays()):
             assert np.array_equal(a, b)
         assert truth == LabelMultiset.from_labels(ys, 10)
@@ -167,15 +179,15 @@ class TestFedAvg:
         data = ClientDataset(xs, ys, 10)
         net = mlp(16, 10, seed=5)
         single = local_train_fedsgd(net, xs, ys)
-        update, _ = local_train_fedavg(net, data, BatchSpec(4, "balanced"), 5, 1e-8,
-                                       np.random.default_rng(9))
+        update, _ = local_train_fedavg(net, [data], BatchSpec(4, "balanced"), 5, 1e-8,
+                                       [np.random.default_rng(9)])[0]
         for acc, one in zip(update.gradients.arrays(), single.gradients.arrays()):
             assert acc == pytest.approx(5.0 * one, rel=1e-5)
 
     def test_sample_count_is_gamma_times_batch(self, pool):
         net = mlp(16, 10, seed=6)
-        update, truth = local_train_fedavg(net, pool, BatchSpec(8), 10, 0.1,
-                                           np.random.default_rng(10))
+        update, truth = local_train_fedavg(net, [pool], BatchSpec(8), 10, 0.1,
+                                           [np.random.default_rng(10)])[0]
         assert update.sample_count == 80
         assert truth.total == 80
 
@@ -205,13 +217,110 @@ class TestFedAvg:
     def test_gamma_below_one_rejected(self, pool):
         net = mlp(16, 10, seed=8)
         with pytest.raises(ValueError, match="gamma"):
-            local_train_fedavg(net, pool, BatchSpec(4), 0, 0.1, np.random.default_rng(0))
+            local_train_fedavg(net, [pool], BatchSpec(4), 0, 0.1, [np.random.default_rng(0)])
 
     def test_local_steps_leave_global_model_untouched(self, pool):
         net = mlp(16, 10, seed=9)
         before = net.head.W.copy()
-        local_train_fedavg(net, pool, BatchSpec(4), 3, 0.5, np.random.default_rng(12))
+        local_train_fedavg(net, [pool], BatchSpec(4), 3, 0.5, [np.random.default_rng(12)])
         assert np.array_equal(net.head.W, before)
+
+
+def fedavg_one_client(net, dataset, spec, gamma, eta, rng):
+    """The FedAvg trainer as it ran before clients were stacked: one client,
+    a copy of the model, a step after every gradient. Kept as the oracle."""
+    pair = None
+    if spec.balance == "unbalanced":
+        present = dataset.present_labels
+        pair = rng.choice(present, size=2, replace=False)
+        others = present[present != pair[0]]
+    local = net.copy()
+    accumulated = None
+    seen = np.zeros(net.n_classes, dtype=np.int64)
+    for step in range(gamma):
+        if pair is not None and step > 0:
+            pair = (pair[0], rng.choice(others))
+        batch, labels = make_batch(dataset, spec, rng, pair)
+        logits, cache = local.forward(batch)
+        grads = local.backward(cache, output_gradient(logits, labels))
+        accumulated = grads if accumulated is None else accumulated.add_(grads)
+        local.sgd_step(grads, eta)
+        seen += np.bincount(labels - 1, minlength=net.n_classes)
+    return RoundUpdate(accumulated, gamma * spec.size), LabelMultiset(seen)
+
+
+@pytest.fixture(scope="module")
+def image_pool():
+    train, _ = synth_generate(SyntheticSpec(
+        n_classes=10, input_dim=36, samples_per_class=30, seed=11
+    ))
+    return train
+
+
+class TestClientStack:
+    """One round's clients train as one stacked network; each client's
+    update, truth and rng state must be what it gets trained alone."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(model=st.sampled_from(["mlp", "cnn"]), activation=st.sampled_from(["sigmoid", "relu"]),
+           batch_size=st.sampled_from(VALID_BATCH_SIZES), gamma=st.integers(1, 4),
+           clients=st.integers(1, 10), balance=st.sampled_from(BALANCES),
+           eta=st.sampled_from([0.1, 0.5]), seed=st.integers(0, 2**31))
+    def test_stacked_clients_match_one_client_at_a_time_bit_for_bit(
+            self, pool, image_pool, model, activation, batch_size, gamma, clients, balance,
+            eta, seed):
+        if model == "mlp":
+            net, data = mlp(16, 10, hidden=12, seed=seed, activation=activation), pool
+        else:
+            net = small_cnn((6, 6), 10, channels=3, seed=seed, activation=activation)
+            data = image_pool
+        draw = np.random.default_rng(seed)
+        # clients of different sizes, some missing labels
+        datasets = [data.subset(draw.choice(len(data), size=int(draw.integers(20, 80)),
+                                            replace=False)) for _ in range(clients)]
+        spec = BatchSpec(batch_size, balance)
+        seeds = [seed + c for c in range(clients)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        oracle_rngs = [np.random.default_rng(s) for s in seeds]
+        before = net.params.copy()
+        stacked = local_train_fedavg(net, datasets, spec, gamma, eta, rngs)
+        assert len(stacked) == clients
+        for (update, truth), dataset, oracle_rng in zip(stacked, datasets, oracle_rngs):
+            expected, expected_truth = fedavg_one_client(net, dataset, spec, gamma, eta,
+                                                         oracle_rng)
+            assert update.gradients.vector.shape == net.params.shape
+            assert update.gradients.layout == net.layout
+            assert np.array_equal(update.gradients.vector, expected.gradients.vector)
+            assert update.sample_count == expected.sample_count
+            assert truth == expected_truth
+        assert all(a.random() == b.random() for a, b in zip(rngs, oracle_rngs))
+        assert np.array_equal(net.params, before)
+
+    @pytest.mark.parametrize("rngs", [0, 2])
+    def test_one_rng_per_dataset_required(self, pool, rngs):
+        with pytest.raises(ValueError, match="one rng per dataset"):
+            local_train_fedavg(mlp(16, 10, seed=1), [pool], BatchSpec(4), 2, 0.1,
+                               [np.random.default_rng(r) for r in range(rngs)])
+
+    def test_empty_round_rejected(self):
+        with pytest.raises(ValueError, match="one rng per dataset"):
+            local_train_fedavg(mlp(16, 10, seed=1), [], BatchSpec(4), 2, 0.1, [])
+
+    @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg"])
+    def test_convergence_sweep_trains_each_round_in_one_call(self, monkeypatch, algorithm):
+        calls = []
+
+        def counted(net, datasets, spec, gamma, eta, rngs):
+            calls.append((len(datasets), gamma))
+            return local_train_fedavg(net, datasets, spec, gamma, eta, rngs)
+
+        monkeypatch.setattr(experiments, "local_train_fedavg", counted)
+        run_experiment(ExperimentConfig(
+            experiment="convergence_sweep", algorithm=algorithm, gamma=3,
+            attacks=("llg", "random"), batch_sizes=(8,), rounds=4, n_clients=5,
+            clients_per_round=3, samples_per_client=40, samples_per_class=40,
+        ))
+        assert calls == [(3, 3 if algorithm == "fedavg" else 1)] * 4
 
 
 class TestServerAggregate:

@@ -1,6 +1,7 @@
 """Engine tests: forward/backward against independent oracles, loss
 gradients against term-by-term summation, SGD mechanics, determinism."""
 
+import copy
 import math
 
 import numpy as np
@@ -132,6 +133,15 @@ def conv_input(data, shape, layout):
     return laid_out(data, shape, layout, FINITE)
 
 
+def stacked_maps(data, shape, layout):
+    """A (..., C, H, W) array, C-contiguous or as a channels-last view."""
+    if layout == "channels_last":
+        drawn = data.draw(arrays(np.float64, shape[:-3] + shape[-2:] + shape[-3:-2],
+                                 elements=FINITE))
+        return np.moveaxis(drawn, -1, -3)
+    return data.draw(arrays(np.float64, shape, elements=FINITE))
+
+
 def sliding_window_patches(x, k, s):
     """The im2col copy the gather replaced: every k x k window, subsampled
     by the stride, one row per output pixel and (c, di, dj) columns."""
@@ -225,6 +235,118 @@ class TestLayerKernels:
         assert none is None
         assert np.array_equal(dx, expected)
         assert not np.shares_memory(dx, y) and not np.shares_memory(dx, dy)
+
+
+    # A (K, ...) stack of layers on (K, ...) inputs: slice c of every output
+    # must be the bits layer c gives on input slice c.
+
+    @staticmethod
+    def stack_of(layers):
+        stacked = copy.copy(layers[0])
+        stacked.W = np.stack([layer.W for layer in layers])
+        stacked.b = np.stack([layer.b for layer in layers])
+        return stacked
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), stack=st.integers(1, 5), batch=st.integers(1, 9),
+           dims=st.tuples(st.integers(1, 12), st.integers(1, 12)), seed=st.integers(0, 99))
+    def test_stacked_dense_matches_its_slices_bit_for_bit(self, data, stack, batch, dims, seed):
+        rng = np.random.default_rng(seed)
+        layers = [Dense(*dims, rng) for _ in range(stack)]
+        dense = self.stack_of(layers)
+        x = data.draw(arrays(np.float64, (stack, batch, dims[0]), elements=FINITE))
+        dy = data.draw(arrays(np.float64, (stack, batch, dims[1]), elements=FINITE))
+        y, cache = dense.forward(x)
+        dx, (dW, db) = dense.backward(cache, dy)
+        assert y.shape == (stack, batch, dims[1]) and dW.shape == dense.W.shape
+        for c, layer in enumerate(layers):
+            y_c, cache_c = layer.forward(x[c])
+            dx_c, (dW_c, db_c) = layer.backward(cache_c, dy[c])
+            for got, expected in ((y, y_c), (dx, dx_c), (dW, dW_c), (db, db_c)):
+                assert np.array_equal(got[c], expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), layout=st.sampled_from(["contiguous", "channels_last"]),
+           stack=st.integers(1, 4), batch=st.integers(1, 4),
+           channels=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           hw=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+           kernel=st.integers(1, 3), stride=st.integers(1, 2), seed=st.integers(0, 99))
+    def test_stacked_conv_matches_its_slices_bit_for_bit(
+            self, data, layout, stack, batch, channels, hw, kernel, stride, seed):
+        rng = np.random.default_rng(seed)
+        layers = [Conv2D(*channels, kernel, stride, rng) for _ in range(stack)]
+        conv = self.stack_of(layers)
+        ho, wo = conv.output_hw(*hw)
+        x = stacked_maps(data, (stack, batch, channels[0], *hw), layout)
+        dy = stacked_maps(data, (stack, batch, channels[1], ho, wo), data.draw(
+            st.sampled_from(["contiguous", "channels_last"])))
+        out, cache = conv.forward(x)
+        dx, (dW, db) = conv.backward(cache, dy)
+        assert out.shape == (stack, batch, channels[1], ho, wo) and dW.shape == conv.W.shape
+        for c, layer in enumerate(layers):
+            out_c, cache_c = layer.forward(x[c])
+            dx_c, (dW_c, db_c) = layer.backward(cache_c, dy[c])
+            assert np.array_equal(cache[1][c], cache_c[1])
+            # the dW product replaced this tensordot, on the same operands
+            dy_flat = dy[c].reshape(batch, channels[1], ho * wo).transpose(0, 2, 1)
+            assert np.array_equal(dW_c.reshape(channels[1], -1), np.tensordot(
+                dy_flat, cache_c[1], axes=([0, 1], [0, 1])))
+            for got, expected in ((out, out_c), (dx, dx_c), (dW, dW_c), (db, db_c)):
+                assert np.array_equal(got[c], expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), kind=st.sampled_from(["sigmoid", "relu", "flatten"]),
+           shape=array_shapes(min_dims=5, max_dims=5, max_side=4))
+    def test_stacked_activation_and_flatten_match_their_slices_bit_for_bit(
+            self, data, kind, shape):
+        layer = Flatten() if kind == "flatten" else Activation(kind)
+        x = stacked_maps(data, shape, data.draw(st.sampled_from(["contiguous", "channels_last"])))
+        y, cache = layer.forward(x)
+        dy = data.draw(arrays(np.float64, y.shape, elements=FINITE))
+        dx, _ = layer.backward(cache, dy)
+        assert y.shape[:2] == shape[:2] and dx.shape == shape
+        for c in range(shape[0]):
+            y_c, cache_c = layer.forward(x[c])
+            dx_c, _ = layer.backward(cache_c, dy[c])
+            assert np.array_equal(y[c], y_c) and np.array_equal(dx[c], dx_c)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), stack=st.integers(1, 5), batch=st.integers(1, 9),
+           n=st.integers(2, 10))
+    def test_stacked_output_gradient_matches_its_slices_bit_for_bit(self, data, stack, batch, n):
+        logits = data.draw(arrays(np.float64, (stack, batch, n), elements=FINITE))
+        labels = data.draw(arrays(np.int64, (stack, batch), elements=st.integers(1, n)))
+        d = output_gradient(logits, labels)
+        for c in range(stack):
+            assert np.array_equal(d[c], output_gradient(logits[c], labels[c]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(make=st.sampled_from([
+        lambda s: mlp(4, 3, hidden=5, seed=s),
+        lambda s: mlp(4, 3, hidden=5, seed=s, activation="relu"),
+        lambda s: small_cnn((6, 6), 3, channels=2, seed=s),
+        lambda s: hand_made_net(s),
+    ]), stack=st.integers(1, 5), batch=st.integers(1, 9), seed=st.integers(0, 99))
+    def test_replicas_forward_and_backward_pack_like_their_slices_bit_for_bit(
+            self, make, stack, batch, seed):
+        nets = [make(seed + c) for c in range(stack)]
+        stacked = nets[0].replicas(stack)
+        stacked.params[:] = np.stack([net.params for net in nets])
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(stack, batch, math.prod(nets[0].input_shape)))
+        labels = rng.integers(1, 4, size=(stack, batch))
+        logits, cache = stacked.forward(x)
+        grads = stacked.backward(cache, output_gradient(logits, labels))
+        assert grads.vector.shape == stacked.params.shape
+        assert all(np.shares_memory(arr, grads.vector) for arr in grads.arrays())
+        for c, net in enumerate(nets):
+            logits_c, cache_c = net.forward(x[c])
+            grads_c = net.backward(cache_c, output_gradient(logits_c, labels[c]))
+            assert np.array_equal(logits[c], logits_c)
+            assert np.array_equal(cache.penultimate[c], cache_c.penultimate)
+            assert np.array_equal(grads.vector[c], grads_c.vector)
+            assert all(np.array_equal(arr[c], arr_c)
+                       for arr, arr_c in zip(grads.arrays(), grads_c.arrays(), strict=True))
 
 
 class TestCrossEntropy:
@@ -405,6 +527,23 @@ class TestSgdStep:
         assert all(np.shares_memory(arr, clone.params) for arr in param_arrays(clone))
         for mine in [net.params, *param_arrays(net)]:
             for theirs in [clone.params, *param_arrays(clone)]:
+                assert not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("make", [lambda: mlp(4, 3, seed=5),
+                                      lambda: small_cnn((6, 6), 3, channels=2, seed=5),
+                                      lambda: hand_made_net(5)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_replicas_are_views_into_their_own_params(self, make, k):
+        net = make()
+        stack = net.replicas(k)
+        assert stack.params.shape == (k, net.params.size)
+        assert all(np.array_equal(row, net.params) for row in stack.params)
+        assert stack.layout == net.layout
+        for mine, theirs in zip(param_arrays(net), param_arrays(stack), strict=True):
+            assert theirs.shape == (k, *mine.shape)
+            assert np.shares_memory(theirs, stack.params)
+        for mine in [net.params, *param_arrays(net)]:
+            for theirs in [stack.params, *param_arrays(stack)]:
                 assert not np.shares_memory(mine, theirs)
 
     def test_construction_keeps_the_layers_initial_values(self):
