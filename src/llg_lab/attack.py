@@ -68,22 +68,19 @@ def estimate_impact_shared(last: LastLayerGradient, n_classes: int) -> float:
     return float(negative.sum() * (1.0 + 1.0 / n_classes) / last.sample_count)
 
 
-def gradient_row_sums(net: Network, batch: np.ndarray, labels) -> np.ndarray:
-    """Per-sample head row sums: row k is the per-class sums of the last-layer
+def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np.ndarray:
+    """Per-sample head row sums of one forward pass's (B, n) logits and (B, h)
+    penultimate activations: row k is the per-class sums of the last-layer
     weight gradient that sample k alone would produce, shape (B, n).
 
     The head weight gradient of one sample is (p_k - e_{y_k})·a_kᵀ, with p_k
     its softmax and a_k its penultimate activations, so its row sums are
-    (p_k - e_{y_k})·Σ_j a_kj and only the forward pass runs. A probe batch's
+    (p_k - e_{y_k})·Σ_j a_kj and no backward pass runs. A probe batch's
     row sums are the mean of its samples' rows.
-
-    Probing never mutates the model, so repeated probes observe the same
-    parameter state.
     """
-    logits, cache = net.forward(batch)
     # output_gradient divides by B for the batch mean; a sample alone has B = 1
     dy = output_gradient(logits, labels) * len(logits)
-    rows = dy * cache.penultimate.sum(axis=1)[:, None]
+    rows = dy * penultimate.sum(axis=1)[:, None]
     if not np.all(np.isfinite(rows)):
         raise ValueError("probe gradient row sums contain non-finite values")
     return rows
@@ -132,27 +129,36 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
 
     if dummy_kind == "uniform_random":
         def rows_for_label(label: int, size: int) -> np.ndarray:
-            return gradient_row_sums(net, rng.random((size, input_dim)), np.full(size, label))
+            logits, cache = net.forward(rng.random((size, input_dim)))
+            return gradient_row_sums(logits, cache.penultimate, np.full(size, label))
 
         return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
     # every sample of a probe is the same input, so the row labelled l is
     # the mean of every probe of label l, whatever its size
     fill = 0.0 if dummy_kind == "zeros" else 1.0
-    rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
+    logits, cache = net.forward(np.full((n, input_dim), fill))
+    rows = gradient_row_sums(logits, cache.penultimate, np.arange(1, n + 1))
     return _params(np.broadcast_to(rows[:, None], (n, IMPACT_BATCHES, n)),
                    np.broadcast_to(rows, (len(OFFSET_BATCH_SIZES), n, n)),
                    batch_size, sample_count)
 
 
-def estimate_params_auxiliary(net: Network, aux: ClientDataset, batch_size: int,
-                              sample_count: int, rng: np.random.Generator) -> AttackParams:
-    """Estimate impact and offsets by probing the model with real samples
-    drawn from an auxiliary dataset covering every class."""
-    n = net.n_classes
+def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
+                              aux: ClientDataset, batch_size: int, sample_count: int,
+                              rng: np.random.Generator) -> AttackParams:
+    """Estimate impact and offsets by probing with real samples of an auxiliary
+    dataset covering every class, given the model's forward pass over aux.xs."""
+    if np.ndim(logits) != 2:
+        raise ValueError(f"logits must be (B, n), got shape {np.shape(logits)}")
+    if len(penultimate) != len(logits):
+        raise ValueError(f"{len(logits)} logit rows but {len(penultimate)} penultimate rows")
+    if len(logits) != len(aux):
+        raise ValueError(f"{len(logits)} forward rows for {len(aux)} auxiliary samples")
+    n = logits.shape[1]
     for label in range(1, n + 1):
         if len(aux.class_indices(label)) == 0:
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
-    rows = gradient_row_sums(net, aux.xs, aux.ys)
+    rows = gradient_row_sums(logits, penultimate, aux.ys)
 
     def rows_for_label(label: int, size: int) -> np.ndarray:
         pool = aux.class_indices(label)

@@ -247,13 +247,15 @@ def _victim_update(config: ExperimentConfig, net, pool, batch_size: int, rng):
     return local_train_fedavg(net, [pool], spec, config.gamma, config.eta, [rng])[0]
 
 
-def _guesses(config: ExperimentConfig, kind_idx: int, net, aux, batch_size: int,
-             sample_count: int, rng_key: tuple) -> list[tuple]:
-    """(attack, guess) per attack, from the undefended model alone: the
-    llg_star/llg_plus AttackParams, the random multiset, or None for llg,
-    whose estimate reads the shared gradient. calibration_plot has the one
-    llg_plus guess. Attack a draws from
+def _guesses(config: ExperimentConfig, kind_idx: int, net, test, batch_size: int,
+             sample_count: int, rng_key: tuple) -> tuple[float, list[tuple]]:
+    """The model's test accuracy and (attack, guess) per attack, from the
+    undefended model alone: the llg_star/llg_plus AttackParams, the random
+    multiset, or None for llg, whose estimate reads the shared gradient.
+    One forward pass over the held-out set gives the accuracy and llg_plus's
+    rows. calibration_plot has the one llg_plus guess. Attack a draws from
     rng_for(master, kind, *rng_key, _STREAM_ATTACK, a)."""
+    logits, cache = net.forward(test.xs)
     calibration = config.experiment == "calibration_plot"
     guesses = []
     for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
@@ -266,11 +268,12 @@ def _guesses(config: ExperimentConfig, kind_idx: int, net, aux, batch_size: int,
             guess = estimate_params_whitebox(net, batch_size, sample_count,
                                              dummy_kind=config.dummy_kind, rng=rng)
         elif attack == "llg_plus":
-            guess = estimate_params_auxiliary(net, aux, batch_size, sample_count, rng)
+            guess = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
+                                              sample_count, rng)
         else:
             raise ValueError(f"unknown attack {attack!r}")
         guesses.append((attack, guess))
-    return guesses
+    return test_accuracy(logits, test.ys), guesses
 
 
 def _attack_rows(config: ExperimentConfig, kind_idx: int, accuracy: float, guesses: list,
@@ -330,9 +333,8 @@ def _run_grid(config: ExperimentConfig, kind_idx: int, progress=None) -> list[Re
         net = _build_model(config, seed_of(master, kind_idx, b_idx, trial, _STREAM_MODEL))
         victim_rng = rng_for(master, kind_idx, b_idx, trial, _STREAM_VICTIM)
         update, truth = _victim_update(config, net, pool, batch_size, victim_rng)
-        accuracy = test_accuracy(net, test)
-        guesses = _guesses(config, kind_idx, net, test, batch_size, update.sample_count,
-                           (b_idx, trial))
+        accuracy, guesses = _guesses(config, kind_idx, net, test, batch_size,
+                                     update.sample_count, (b_idx, trial))
         for d_idx, defense in enumerate(config.defenses):
             defended = update
             if defense.kind != "none":
@@ -376,9 +378,9 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
             updates.append(update)
             if cid == 0:
                 victim_update, victim_truth = update, truth
-        guesses = _guesses(config, kind_idx, net, test, batch_size,
-                           victim_update.sample_count, (round_idx,))
-        rows += _attack_rows(config, kind_idx, test_accuracy(net, test), guesses,
+        accuracy, guesses = _guesses(config, kind_idx, net, test, batch_size,
+                                     victim_update.sample_count, (round_idx,))
+        rows += _attack_rows(config, kind_idx, accuracy, guesses,
                              victim_update, victim_truth, (0, 0, round_idx))
         server_aggregate(updates, net, config.eta)
         if progress is not None:

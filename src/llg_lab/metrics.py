@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ClientDataset
 from .labels import LabelMultiset
-from .nn import Network
 
 
 def attack_success_rate(extracted: LabelMultiset, truth: LabelMultiset) -> float:
@@ -45,11 +43,10 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / np.sqrt(sx * sy))
 
 
-def test_accuracy(net: Network, dataset: ClientDataset) -> float:
-    """Fraction of samples whose argmax prediction matches the label, from
-    one forward pass over the whole set."""
-    if len(dataset) == 0:
+def test_accuracy(logits: np.ndarray, labels) -> float:
+    """Fraction of rows of the (B, n) logits whose argmax matches the label."""
+    if len(labels) == 0:
         raise ValueError("test set must be non-empty")
-    logits, _ = net.forward(dataset.xs)
-    predicted = logits.argmax(axis=1) + 1
-    return int((predicted == dataset.ys).sum()) / len(dataset)
+    if np.ndim(logits) != 2 or len(logits) != len(labels):
+        raise ValueError(f"expected logits of shape ({len(labels)}, n), got {np.shape(logits)}")
+    return int((logits.argmax(axis=1) + 1 == labels).sum()) / len(labels)

@@ -104,7 +104,9 @@ def test_c03_calibrated_gradients_correlate_with_counts():
                 net = mlp(64, 10, seed=400_000 + trial)
                 xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
                 update = local_train_fedsgd(net, xs, ys)
-                params = estimate_params_auxiliary(net, test, batch_size, batch_size, rng)
+                logits, cache = net.forward(test.xs)
+                params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
+                                                   batch_size, rng)
                 calibrated.extend(update.last_layer().g - params.offsets)
                 lam.extend(LabelMultiset.from_labels(ys, 10).counts)
             rho = abs(pearson(np.array(calibrated), np.array(lam, dtype=float)))
@@ -313,7 +315,8 @@ def test_c08_deeper_cnn_keeps_its_head_under_compression():
                 defended = apply_defense(update, compression, rng,
                                          CompressionState.for_network(net, 0.8))
                 kept.append(float(np.mean(defended.gradients.head[0] != 0)))
-                params = estimate_params_auxiliary(net, aux, 32, 32, rng)
+                logits, cache = net.forward(aux.xs)
+                params = estimate_params_auxiliary(logits, cache.penultimate, aux, 32, 32, rng)
                 extracted = llg_extract(defended.last_layer(), params)
                 attacked.append(attack_success_rate(extracted, truth))
                 baseline.append(attack_success_rate(random_guess(10, 32, rng), truth))

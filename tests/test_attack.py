@@ -41,6 +41,18 @@ def last_from_g(g, sample_count):
     return LastLayerGradient(np.asarray(g, dtype=np.float64)[:, None], sample_count)
 
 
+def held_out(net, aux):
+    """The (logits, penultimate) pair of the model's forward pass over aux."""
+    logits, cache = net.forward(aux.xs)
+    return logits, cache.penultimate
+
+
+def forward_rows(net, batch, labels):
+    """The rows of one forward pass of batch, as the llg_star probes take them."""
+    logits, cache = net.forward(batch)
+    return gradient_row_sums(logits, cache.penultimate, labels)
+
+
 def looped_extract(g, params: AttackParams, target: int) -> np.ndarray:
     """The counts llg_extract gave when its step 1 walked the labels one by
     one and stopped at |D|; kept as the oracle for the masked step 1."""
@@ -133,7 +145,7 @@ class TestWhiteBoxEstimation:
         observed = []
         dummy = np.zeros((batch_size, 16))
         for label in range(1, 5):
-            rows = gradient_row_sums(net, dummy, np.full(batch_size, label))
+            rows = forward_rows(net, dummy, np.full(batch_size, label))
             observed.append(rows.mean(axis=0)[label - 1])
         expected = sum(observed) * (1.0 + 1.0 / 4.0) / (4 * batch_size)
         params = estimate_params_whitebox(net, batch_size, batch_size, dummy_kind="zeros")
@@ -197,17 +209,17 @@ def loop_rows_for_label(net, kind, aux, rng):
     estimators' order; a zeros/ones probe is the one row of its label."""
     n, input_dim = net.n_classes, int(np.prod(net.input_shape))
     if kind == "auxiliary":
-        rows = gradient_row_sums(net, aux.xs, aux.ys)
+        rows = forward_rows(net, aux.xs, aux.ys)
 
         def rows_for_label(label, size):
             pool = aux.class_indices(label)
             return rows[rng.choice(pool, size=size, replace=size > len(pool))]
     elif kind == "uniform_random":
         def rows_for_label(label, size):
-            return gradient_row_sums(net, rng.random((size, input_dim)), np.full(size, label))
+            return forward_rows(net, rng.random((size, input_dim)), np.full(size, label))
     else:
         fill = 0.0 if kind == "zeros" else 1.0
-        rows = gradient_row_sums(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
+        rows = forward_rows(net, np.full((n, input_dim), fill), np.arange(1, n + 1))
 
         def rows_for_label(label, _size):
             return rows[label - 1:label]
@@ -218,6 +230,42 @@ def probe_net(model, activation, seed):
     if model == "mlp":
         return mlp(64, 10, seed=seed, activation=activation)
     return small_cnn((8, 8), 10, seed=seed, activation=activation)
+
+
+def tie_head(net, classes):
+    """Zero the head rows of classes and give them one bias: their logits
+    are then that bias exactly, on every row, so the argmax ties among them
+    wherever they lead."""
+    net.head.W[classes] = 0.0
+    net.head.b[classes] = net.head.b[classes[0]]
+
+
+def network_row_sums(net, batch, labels):
+    """gradient_row_sums as it was when it ran its own forward pass: the
+    oracle the shared held-out forward must equal bit for bit."""
+    logits, cache = net.forward(batch)
+    dy = output_gradient(logits, labels) * len(logits)
+    rows = dy * cache.penultimate.sum(axis=1)[:, None]
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("probe gradient row sums contain non-finite values")
+    return rows
+
+
+def network_auxiliary(net, aux, batch_size, sample_count, rng):
+    """estimate_params_auxiliary as it was when it took the network: the
+    oracle path of the shared held-out forward."""
+    n = net.n_classes
+    for label in range(1, n + 1):
+        if len(aux.class_indices(label)) == 0:
+            raise ValueError(f"auxiliary dataset has no samples of class {label}")
+    rows = network_row_sums(net, aux.xs, aux.ys)
+
+    def rows_for_label(label, size):
+        pool = aux.class_indices(label)
+        return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+
+    return attack._params(*attack._probe_means(n, batch_size, rows_for_label), batch_size,
+                          sample_count)
 
 
 class TestProbeRowSums:
@@ -235,7 +283,7 @@ class TestProbeRowSums:
         shape = (batch_size, int(np.prod(net.input_shape)))
         batch = {"zeros": np.zeros, "ones": np.ones}.get(fill, rng.random)(shape)
         labels = rng.integers(1, 11, size=batch_size)
-        rows = gradient_row_sums(net, batch, labels)
+        rows = forward_rows(net, batch, labels)
         assert rows.shape == (batch_size, 10)
         for k in range(batch_size):
             logits, cache = net.forward(batch[k:k + 1])
@@ -259,7 +307,8 @@ class TestProbeRowSums:
         net = probe_net(model, activation, seed)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if kind == "auxiliary":
-            params = estimate_params_auxiliary(net, aux, batch_size, batch_size, rng)
+            params = estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
+                                               rng)
 
             def batch_for_label(label, size):
                 pool = aux.class_indices(label)
@@ -289,7 +338,8 @@ class TestProbeRowSums:
         net = probe_net(model, activation, seed)
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if kind == "auxiliary":
-            params = estimate_params_auxiliary(net, aux, batch_size, batch_size, rng)
+            params = estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
+                                               rng)
         else:
             params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
         impact, offsets = loop_estimates(net.n_classes, batch_size,
@@ -306,7 +356,7 @@ class TestProbeRowSums:
         real = attack.gradient_row_sums
         monkeypatch.setattr(attack, "gradient_row_sums",
                             lambda *args: calls.append(len(args[1])) or real(*args))
-        estimate_params_auxiliary(net, aux, 8, 8, np.random.default_rng(0))
+        estimate_params_auxiliary(*held_out(net, aux), aux, 8, 8, np.random.default_rng(0))
         assert calls == [len(aux)]
         for kind in ("zeros", "ones"):
             calls.clear()
@@ -324,7 +374,36 @@ class TestProbeRowSums:
         net.layers[0].b[:] = 0.0
         net.head.W[:] = 0.0
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            gradient_row_sums(net, np.array([[1e308]]), np.array([1]))
+            forward_rows(net, np.array([[1e308]]), np.array([1]))
+
+
+class TestSharedHeldOutForward:
+    @settings(deadline=None, max_examples=60)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           rows=st.integers(10, 300),
+           batch_size=st.sampled_from([1, 2, 8, 32, 128]),
+           tied=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_estimate_equals_the_network_path_bit_for_bit(self, world, model, activation,
+                                                          rows, batch_size, tied, seed):
+        # one sample of every class first, so that every class is present
+        _, test = world
+        rng = np.random.default_rng(seed)
+        firsts = [test.class_indices(label)[0] for label in range(1, 11)]
+        aux = test.subset(np.concatenate([firsts, rng.choice(len(test), size=rows - 10)]))
+        net = probe_net(model, activation, seed)
+        if tied >= 2:
+            tie_head(net, rng.choice(10, size=tied, replace=False))
+        logits, penultimate = held_out(net, aux)
+        assert np.array_equal(gradient_row_sums(logits, penultimate, aux.ys),
+                              network_row_sums(net, aux.xs, aux.ys))
+        params = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size,
+                                           np.random.default_rng(seed))
+        oracle = network_auxiliary(net, aux, batch_size, batch_size,
+                                   np.random.default_rng(seed))
+        assert np.array_equal(params.impact, oracle.impact)
+        assert np.array_equal(params.offsets, oracle.offsets)
 
 
 class TestEstimatorsLeaveTheModelAlone:
@@ -337,7 +416,7 @@ class TestEstimatorsLeaveTheModelAlone:
         rng = np.random.default_rng(41)
         for dummy_kind in ("zeros", "uniform_random"):
             estimate_params_whitebox(net, 8, 8, dummy_kind=dummy_kind, rng=rng)
-        estimate_params_auxiliary(net, test, 8, 8, rng)
+        estimate_params_auxiliary(*held_out(net, test), test, 8, 8, rng)
         assert net.params.tobytes() == before.tobytes()
         assert net._version == version
 
@@ -348,7 +427,29 @@ class TestAuxiliaryEstimation:
         partial = test.subset(np.flatnonzero(test.ys != 3))
         net = mlp(64, 10, seed=33)
         with pytest.raises(ValueError, match="no samples of class 3"):
-            estimate_params_auxiliary(net, partial, 8, 8, np.random.default_rng(0))
+            estimate_params_auxiliary(*held_out(net, partial), partial, 8, 8,
+                                      np.random.default_rng(0))
+
+    def test_logits_that_are_not_a_matrix_rejected(self, world):
+        _, test = world
+        logits, penultimate = held_out(mlp(64, 10, seed=34), test)
+        with pytest.raises(ValueError, match=r"logits must be \(B, n\)"):
+            estimate_params_auxiliary(logits[:, 0], penultimate, test, 8, 8,
+                                      np.random.default_rng(0))
+
+    def test_logits_and_activations_of_different_lengths_rejected(self, world):
+        _, test = world
+        logits, penultimate = held_out(mlp(64, 10, seed=35), test)
+        with pytest.raises(ValueError, match="1000 logit rows but 999 penultimate rows"):
+            estimate_params_auxiliary(logits, penultimate[1:], test, 8, 8,
+                                      np.random.default_rng(0))
+
+    def test_forward_pass_of_another_set_rejected(self, world):
+        _, test = world
+        logits, penultimate = held_out(mlp(64, 10, seed=36), test)
+        with pytest.raises(ValueError, match="999 forward rows for 1000 auxiliary samples"):
+            estimate_params_auxiliary(logits[1:], penultimate[1:], test, 8, 8,
+                                      np.random.default_rng(0))
 
     @pytest.mark.parametrize("batch_size", [2, 8, 32, 128])
     def test_calibrated_gradients_track_label_counts(self, world, batch_size):
@@ -361,7 +462,8 @@ class TestAuxiliaryEstimation:
             net = mlp(64, 10, seed=2100 + trial)
             xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
-            params = estimate_params_auxiliary(net, test, batch_size, batch_size, rng)
+            params = estimate_params_auxiliary(*held_out(net, test), test, batch_size,
+                                               batch_size, rng)
             calibrated.extend(update.last_layer().g - params.offsets)
             lam.extend(LabelMultiset.from_labels(ys, 10).counts)
         rho = pearson(np.array(calibrated), np.array(lam, dtype=float))
@@ -377,7 +479,7 @@ class TestAuxiliaryEstimation:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(net, test, 32, 32, rng)
+            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
             aux_scores.append(attack_success_rate(llg_extract(last, plus), truth))
             try:
                 base = AttackParams(estimate_impact_shared(last, 10), np.zeros(10), 32)
@@ -516,7 +618,7 @@ class TestExtraction:
             xs, ys = make_batch(train, BatchSpec(8, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
-            params = estimate_params_auxiliary(net, test, 8, 8, rng)
+            params = estimate_params_auxiliary(*held_out(net, test), test, 8, 8, rng)
             if llg_extract(update.last_layer(), params) == truth:
                 exact += 1
         assert exact >= 95
@@ -566,7 +668,7 @@ class TestAttackOrdering:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(net, test, 32, 32, rng)
+            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
             scores["llg_plus"].append(attack_success_rate(llg_extract(last, plus), truth))
             try:
                 base = AttackParams(estimate_impact_shared(last, 10), np.zeros(10), 32)

@@ -288,7 +288,8 @@ def llg_plus_asr(train, test, batch_size, defense, trials, activation="sigmoid")
         xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
         update = local_train_fedsgd(net, xs, ys)
         truth = LabelMultiset.from_labels(ys, 10)
-        params = estimate_params_auxiliary(net, test, batch_size,
+        logits, cache = net.forward(test.xs)
+        params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
                                            update.sample_count, rng)
         if defense is not None:
             state = (CompressionState.for_network(net, defense.theta)

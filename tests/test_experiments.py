@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from llg_lab import cli, experiments
+from llg_lab import attack, cli, experiments, nn
 from llg_lab.defenses import DefenseSpec
 from llg_lab.experiments import (
     ATTACKS,
@@ -49,6 +49,28 @@ SWEEP_ARMS = (DefenseSpec("noise", sigma=0.1), DefenseSpec("compress", theta=0.8
 def defense_sweep(defenses):
     return small_config(experiment="defense_sweep", attacks=ATTACKS, batch_sizes=(2, 8),
                         trials=2, defenses=defenses)
+
+
+def held_out_counts(monkeypatch, config):
+    """Network.forward calls whose batch is the run's held-out set, and
+    gradient_row_sums calls, over one run of config."""
+    counts: Counter = Counter()
+    made = []
+    make_data = experiments._make_data
+    monkeypatch.setattr(experiments, "_make_data",
+                        lambda cfg: made.append(make_data(cfg)) or made[-1])
+    forward = nn.Network.forward
+
+    def counted_forward(net, batch):
+        counts["held_out"] += batch is made[-1][1].xs
+        return forward(net, batch)
+
+    monkeypatch.setattr(nn.Network, "forward", counted_forward)
+    row_sums = attack.gradient_row_sums
+    monkeypatch.setattr(attack, "gradient_row_sums",
+                        lambda *args: counts.update(["row_sums"]) or row_sums(*args))
+    run_experiment(config)
+    return counts
 
 
 class TestConfigValidation:
@@ -238,6 +260,30 @@ class TestRunExperiment:
             spec.label() for spec in SWEEP_ARMS for _ in range(2 * 2 * len(ATTACKS))]
         assert len(callbacks) == task_count(config) == 3 * 2 * 2
         assert calls == {**{name: 2 * 2 for name in shared}, "apply_defense": 2 * 2 * 2}
+
+    def test_one_held_out_forward_per_defense_sweep_cell(self, monkeypatch):
+        # the accuracy and the llg_plus row sums read one forward pass
+        counts = held_out_counts(monkeypatch, defense_sweep(SWEEP_ARMS))
+        assert counts["held_out"] == 2 * 2
+
+    def test_one_held_out_forward_per_cell_without_llg_plus(self, monkeypatch):
+        config = small_config(attacks=("llg", "llg_star", "random"), batch_sizes=(2, 8))
+        assert held_out_counts(monkeypatch, config)["held_out"] == 2 * 2
+
+    def test_one_held_out_forward_per_convergence_round(self, monkeypatch):
+        config = ExperimentConfig.from_dict(dict(
+            experiment="convergence_sweep", attacks=ATTACKS, batch_sizes=(8,),
+            rounds=3, n_clients=4, clients_per_round=2, samples_per_client=40,
+            samples_per_class=40, master_seed=1,
+        ))
+        assert held_out_counts(monkeypatch, config)["held_out"] == 3
+
+    def test_rounds_without_llg_plus_compute_no_row_sums(self, monkeypatch):
+        # the fedavg_rounds workload's shape, at 3 rounds
+        raw = dict(workload_config("fedavg_rounds", 1), rounds=3)
+        counts = held_out_counts(monkeypatch, ExperimentConfig.from_dict(raw))
+        assert counts["held_out"] == 3
+        assert counts["row_sums"] == 0
 
     def test_defense_arms_stay_isolated(self):
         # an arm's rows are those of a run with that defense alone; noise is

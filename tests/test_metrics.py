@@ -11,11 +11,21 @@ from llg_lab.data import ClientDataset
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate, hellinger, pearson
 from llg_lab.metrics import test_accuracy as accuracy_on
-from llg_lab.nn import mlp
+from llg_lab.nn import mlp, small_cnn
 
 
 def ms(*counts):
     return LabelMultiset(np.array(counts))
+
+
+def network_accuracy(net, dataset):
+    """test_accuracy as it was when it ran its own forward pass: the oracle
+    the shared held-out forward must equal."""
+    if len(dataset) == 0:
+        raise ValueError("test set must be non-empty")
+    logits, _ = net.forward(dataset.xs)
+    predicted = logits.argmax(axis=1) + 1
+    return int((predicted == dataset.ys).sum()) / len(dataset)
 
 
 class TestAttackSuccessRate:
@@ -119,7 +129,7 @@ class TestTestAccuracy:
         data = ClientDataset(rng.random((500, 8)), rng.integers(1, 11, size=500), 10)
         # ties resolve to class 1, so accuracy equals the rate of label 1
         expected = float((data.ys == 1).mean())
-        assert accuracy_on(net, data) == pytest.approx(expected)
+        assert accuracy_on(net.forward(data.xs)[0], data.ys) == pytest.approx(expected)
 
     def test_memorized_single_sample(self):
         net = mlp(4, 2, seed=1)
@@ -127,7 +137,7 @@ class TestTestAccuracy:
         logits, _ = net.forward(x)
         label = int(logits.argmax() + 1)
         data = ClientDataset(x, np.array([label]), 2)
-        assert accuracy_on(net, data) == 1.0
+        assert accuracy_on(net.forward(data.xs)[0], data.ys) == 1.0
 
     def test_matches_hand_count_on_five_samples(self):
         net = mlp(3, 3, seed=4)
@@ -137,7 +147,40 @@ class TestTestAccuracy:
         logits, _ = net.forward(xs)
         correct = sum(1 for k in range(5) if logits[k].argmax() + 1 == ys[k])
         data = ClientDataset(xs, ys, 3)
-        assert accuracy_on(net, data) == pytest.approx(correct / 5.0)
+        assert accuracy_on(net.forward(data.xs)[0], data.ys) == pytest.approx(correct / 5.0)
+
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            accuracy_on(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+    def test_logits_of_another_row_count_rejected(self):
+        with pytest.raises(ValueError, match=r"expected logits of shape \(3, n\), got \(4, 2\)"):
+            accuracy_on(np.zeros((4, 2)), np.array([1, 2, 1]))
+
+    def test_logits_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"expected logits of shape \(3, n\), got \(3,\)"):
+            accuracy_on(np.zeros(3), np.array([1, 2, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           rows=st.integers(10, 300),
+           tied=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_network_path(self, model, activation, rows, tied, seed):
+        # tied head rows are zero with one bias, so those logits are that
+        # bias exactly on every row and the argmax ties among them
+        rng = np.random.default_rng(seed)
+        net = (mlp(64, 10, seed=seed, activation=activation) if model == "mlp"
+               else small_cnn((8, 8), 10, seed=seed, activation=activation))
+        if tied >= 2:
+            classes = rng.choice(10, size=tied, replace=False)
+            net.head.W[classes] = 0.0
+            net.head.b[classes] = net.head.b[classes[0]]
+        data = ClientDataset(rng.random((rows, 64)), rng.integers(1, 11, size=rows), 10)
+        logits, _ = net.forward(data.xs)
+        assert accuracy_on(logits, data.ys) == network_accuracy(net, data)
 
 
 class TestScoreAgreement:
