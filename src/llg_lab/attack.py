@@ -86,17 +86,23 @@ def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np
     return rows
 
 
-def _probe_means(n: int, batch_size: int, rows_for_label) -> tuple[np.ndarray, np.ndarray]:
+def _probe_means(n: int, batch_size: int, draw,
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean rows of every single-label probe, in the order they are drawn:
     IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
-    (offset size, label), shape (S, n, n). Each table stacks its probes'
-    rows and takes one mean over the sample axis, which adds every probe's
-    rows in the order its own mean would."""
+    (offset size, label), shape (S, n, n). draw(label, size) gives a probe's
+    (size, n) rows or, when `rows` is given, the (size,) indices of its rows
+    in that table, gathered once per probe table. Each table takes one mean
+    over the sample axis, which adds every probe's rows in the order its own
+    mean would."""
+    def table(probes) -> np.ndarray:
+        drawn = np.stack([draw(label, size) for label, size in probes])
+        return drawn if rows is None else rows.take(drawn, axis=0)
+
     labels = range(1, n + 1)
-    impact = np.stack([rows_for_label(label, batch_size)
-                       for label in labels for _ in range(IMPACT_BATCHES)])
+    impact = table((label, batch_size) for label in labels for _ in range(IMPACT_BATCHES))
     impact = impact.reshape(n, IMPACT_BATCHES, batch_size, n).mean(axis=2)
-    offsets = np.stack([np.stack([rows_for_label(label, size) for label in labels]).mean(axis=1)
+    offsets = np.stack([table((label, size) for label in labels).mean(axis=1)
                         for size in OFFSET_BATCH_SIZES])
     return impact, offsets
 
@@ -160,11 +166,12 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
 
-    def rows_for_label(label: int, size: int) -> np.ndarray:
+    def indices_for_label(label: int, size: int) -> np.ndarray:
         pool = aux.class_indices(label)
-        return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+        return rng.choice(pool, size=size, replace=size > len(pool))
 
-    return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
+    return _params(*_probe_means(n, batch_size, indices_for_label, rows), batch_size,
+                   sample_count)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:

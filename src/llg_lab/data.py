@@ -82,8 +82,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
+        # the 80/20 split keeps at least one sample per class for testing,
+        # so one more is needed for training
+        if self.samples_per_class < 2:
+            raise ValueError("samples_per_class must be >= 2")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.cluster_spread < 0:

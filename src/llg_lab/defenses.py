@@ -98,6 +98,11 @@ class DefenseSpec:
         if self.kind == "compress" and not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
 
+    @property
+    def draws(self) -> bool:
+        """Whether applying this defense draws from a random stream."""
+        return self.kind in ("noise", "clip_noise")
+
     def label(self) -> str:
         if self.kind == "none":
             return "none"
@@ -144,12 +149,15 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generator,
+def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generator | None,
                   state: CompressionState | None = None) -> RoundUpdate:
-    """Obfuscate one client update according to spec; compression requires
-    the client's persistent CompressionState."""
+    """Obfuscate one client update according to spec. Only the kinds that
+    draw (`spec.draws`) read rng; compression requires the client's
+    persistent CompressionState."""
     if spec.kind == "none":
         return update
+    if spec.draws and rng is None:
+        raise ValueError(f"the {spec.kind} defense needs a random generator")
     if spec.kind == "noise":
         defended = add_gaussian_noise(update.gradients, spec.sigma, rng)
     elif spec.kind == "clip_noise":

@@ -146,6 +146,9 @@ class ExperimentConfig:
             raise ValueError("master_seed must be >= 0")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if self.samples_per_class < 2:
+            raise ValueError("samples_per_class must be >= 2: each class keeps one "
+                             "held-out sample and needs one more for training")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         if self.model == "cnn":
@@ -340,7 +343,8 @@ def _run_grid(config: ExperimentConfig, kind_idx: int, progress=None) -> list[Re
             if defense.kind != "none":
                 state = (CompressionState.for_network(net, defense.theta)
                          if defense.kind == "compress" else None)
-                defense_rng = rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
+                defense_rng = (rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
+                               if defense.draws else None)
                 defended = apply_defense(update, defense, defense_rng, state)
             arms[d_idx] += _attack_rows(config, kind_idx, accuracy, guesses, defended, truth,
                                         (d_idx, b_idx, trial))
@@ -373,7 +377,8 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
             if defense.kind != "none":
                 if defense.kind == "compress" and cid not in states:
                     states[cid] = CompressionState.for_network(net, defense.theta)
-                defense_rng = rng_for(master, kind_idx, cid, round_idx, _STREAM_DEFENSE)
+                defense_rng = (rng_for(master, kind_idx, cid, round_idx, _STREAM_DEFENSE)
+                               if defense.draws else None)
                 update = apply_defense(update, defense, defense_rng, states.get(cid))
             updates.append(update)
             if cid == 0:

@@ -98,6 +98,11 @@ class Dense:
         return dx, (dW, db)
 
 
+# the largest client or probe batch (fl.VALID_BATCH_SIZES): only larger
+# batches, such as a held-out set, are gathered in more than one block
+_SAMPLE_BLOCK = 128
+
+
 @functools.cache
 def _patch_index(channels: int, h: int, w: int, k: int, s: int) -> np.ndarray:
     """Read-only (ho*wo, C*k*k) flat indices into a channels-last (H, W, C)
@@ -145,27 +150,37 @@ class Conv2D:
             )
         *batch, channels, h, w = x.shape
         ho, wo = self.output_hw(h, w)
-        # im2col as one gather of cached flat indices: row i*wo + j of
-        # patches is the k x k window at output pixel (i, j), its columns in
-        # the (c, di, dj) order of flat_w. Reading x channels-last costs
-        # nothing on the hot path: this layer's output and the sigmoid after
-        # it are channels-last views, and a C = 1 input is contiguous either
-        # way; any other layout is copied once. The gather only copies
-        # values, into a fresh C-contiguous (B, ho*wo, C*k*k) array, so the
-        # product and its bits depend on those values alone, and backward
-        # reads the same patches.
-        idx = _patch_index(channels, h, w, self.kernel, self.stride)
-        patches = np.moveaxis(x, -3, -1).reshape(*batch, -1).take(idx, axis=-1)
+        # Reading x channels-last costs nothing on the hot path: this layer's
+        # output and the sigmoid after it are channels-last views, and a
+        # C = 1 input is contiguous either way; any other layout is copied
+        # once. The cache keeps this (..., B, H*W*C) input, not the patches.
+        flat_x = np.moveaxis(x, -3, -1).reshape(*batch, -1)
         # W as (out, C*k*k) after an axis of one for the batch
         flat_w = self.W.reshape(*self.W.shape[:-4], 1, self.out_channels, -1)
-        out = patches @ flat_w.swapaxes(-1, -2)
+        out = np.empty((*batch, ho * wo, self.out_channels))
+        # im2col in blocks of at most _SAMPLE_BLOCK samples, so patches never
+        # exist for a whole held-out batch. A stacked matmul multiplies each
+        # sample's (ho*wo, C*k*k) patches by flat_w on their own, so which
+        # block a sample lands in changes no bit of its product
+        for start in range(0, batch[-1], _SAMPLE_BLOCK):
+            rows = slice(start, start + _SAMPLE_BLOCK)
+            np.matmul(self._patches(flat_x[..., rows, :], channels, h, w),
+                      flat_w.swapaxes(-1, -2), out=out[..., rows, :, :])
         out += self.b[..., None, None, :]
         out = out.swapaxes(-1, -2).reshape(*batch, self.out_channels, ho, wo)
-        return out, (x.shape, patches)
+        return out, (x.shape, flat_x)
+
+    def _patches(self, flat_x, channels: int, h: int, w: int) -> np.ndarray:
+        """im2col as one gather of cached flat indices: row i*wo + j of a
+        sample's patches is the k x k window at output pixel (i, j), its
+        columns in the (c, di, dj) order of flat_w. The gather only copies
+        values, into a fresh C-contiguous (..., B, ho*wo, C*k*k) array."""
+        return flat_x.take(_patch_index(channels, h, w, self.kernel, self.stride), axis=-1)
 
     def backward(self, cache, dy):
-        x_shape, patches = cache
+        x_shape, flat_x = cache
         *batch, channels, h, w = x_shape
+        patches = self._patches(flat_x, channels, h, w)
         k, s = self.kernel, self.stride
         ho, wo = self.output_hw(h, w)
         dy_flat = dy.reshape(*batch, self.out_channels, ho * wo)

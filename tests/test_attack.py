@@ -377,6 +377,49 @@ class TestProbeRowSums:
             forward_rows(net, np.array([[1e308]]), np.array([1]))
 
 
+class CountingTakes(np.ndarray):
+    """A row table that records every take() gather made from it."""
+
+    takes: list
+
+    def take(self, *args, **kwargs):
+        self.takes.append(args)
+        return super().take(*args, **kwargs).view(np.ndarray)
+
+
+class TestProbeTables:
+    @settings(deadline=None, max_examples=60)
+    @given(batch_size=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
+    def test_one_gather_per_table_equals_a_gather_per_probe(self, world, batch_size, seed):
+        # the same rng.choice calls in the same order; the oracle gathers
+        # each probe's rows on its own and stacks them
+        _, aux = world
+        rows = np.random.default_rng(seed).normal(size=(len(aux), 10))
+        table = rows.view(CountingTakes)
+        table.takes = []
+
+        def indices_from(rng, draws):
+            def indices_for_label(label, size):
+                draws.append((label, size))
+                pool = aux.class_indices(label)
+                return rng.choice(pool, size=size, replace=size > len(pool))
+            return indices_for_label
+
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws, loop_draws = [], []
+        tables = attack._probe_means(10, batch_size, indices_from(rng, draws), table)
+        loop_indices = indices_from(loop_rng, loop_draws)
+        looped = attack._probe_means(10, batch_size,
+                                     lambda label, size: rows[loop_indices(label, size)])
+        for got, expected in zip(tables, looped, strict=True):
+            assert type(got) is np.ndarray
+            assert np.array_equal(got, expected)
+        assert draws == loop_draws
+        assert len(draws) == 10 * (IMPACT_BATCHES + len(OFFSET_BATCH_SIZES))
+        assert len(table.takes) == 1 + len(OFFSET_BATCH_SIZES)
+        assert rng.random() == loop_rng.random()
+
+
 class TestSharedHeldOutForward:
     @settings(deadline=None, max_examples=60)
     @given(model=st.sampled_from(["mlp", "cnn"]),

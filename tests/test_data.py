@@ -57,7 +57,8 @@ class TestSynthetic:
         assert accuracy > 0.9
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_classes": 1}, {"samples_per_class": 0}, {"cluster_spread": -0.1},
+        {"n_classes": 1}, {"samples_per_class": 0}, {"samples_per_class": 1},
+        {"cluster_spread": -0.1},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -262,6 +262,21 @@ class TestDefenseSpec:
             apply_defense(update, DefenseSpec("compress", theta=0.5),
                           np.random.default_rng(0))
 
+    def test_only_the_noise_kinds_need_a_generator(self):
+        net = mlp(8, 3, seed=10)
+        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
+        for spec in (DefenseSpec("noise", sigma=0.1), DefenseSpec("clip_noise", sigma=0.1)):
+            assert spec.draws
+            with pytest.raises(ValueError, match="random generator"):
+                apply_defense(update, spec, None)
+        for spec in (DefenseSpec(), DefenseSpec("compress", theta=0.5)):
+            assert not spec.draws
+        spec = DefenseSpec("compress", theta=0.5)
+        without = apply_defense(update, spec, None, CompressionState.for_network(net, 0.5))
+        with_rng = apply_defense(update, spec, np.random.default_rng(0),
+                                 CompressionState.for_network(net, 0.5))
+        assert np.array_equal(without.gradients.vector, with_rng.gradients.vector)
+
     def test_compress_rejects_a_state_of_another_theta(self):
         # a theta=0.2 state would emit 80% of the entries under a 0.8 spec
         net = mlp(8, 3, seed=10)

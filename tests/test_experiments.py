@@ -114,6 +114,13 @@ class TestConfigValidation:
         })
         assert config.defenses == (DefenseSpec("noise", sigma=0.5),)
 
+    def test_samples_per_class_below_two_rejected(self):
+        # the held-out split takes one sample per class, leaving none to train on
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="samples_per_class must be >= 2"):
+                small_config(samples_per_class=samples)
+        assert small_config(samples_per_class=2).samples_per_class == 2
+
     def test_convergence_needs_single_batch_size(self):
         with pytest.raises(ValueError, match="exactly one batch size"):
             ExperimentConfig(experiment="convergence_sweep", batch_sizes=(4, 8))
@@ -260,6 +267,32 @@ class TestRunExperiment:
             spec.label() for spec in SWEEP_ARMS for _ in range(2 * 2 * len(ATTACKS))]
         assert len(callbacks) == task_count(config) == 3 * 2 * 2
         assert calls == {**{name: 2 * 2 for name in shared}, "apply_defense": 2 * 2 * 2}
+
+    @pytest.mark.parametrize("defense, draws", [
+        (DefenseSpec("compress", theta=0.8), False),
+        (DefenseSpec("noise", sigma=0.1), True),
+        (DefenseSpec("clip_noise", beta=1.0, sigma=0.1), True),
+    ])
+    def test_defense_stream_built_only_for_defenses_that_draw(self, monkeypatch, defense,
+                                                              draws):
+        # only a defense stream's seed parts end in _STREAM_DEFENSE here: the
+        # convergence run stops before a client stream's round reaches it
+        built = []
+        rng_for = experiments.rng_for
+        monkeypatch.setattr(experiments, "rng_for",
+                            lambda *parts: built.append(parts) or rng_for(*parts))
+
+        def streams(config):
+            built.clear()
+            run_experiment(config)
+            return sum(parts[-1] == experiments._STREAM_DEFENSE for parts in built)
+
+        assert streams(defense_sweep((defense,))) == (2 * 2 if draws else 0)
+        rounds = small_config(experiment="convergence_sweep", attacks=("llg",), rounds=3,
+                              n_clients=4, clients_per_round=2, samples_per_client=40,
+                              defenses=(defense,))
+        assert experiments._STREAM_DEFENSE > rounds.rounds
+        assert streams(rounds) == (3 * 2 if draws else 0)
 
     def test_one_held_out_forward_per_defense_sweep_cell(self, monkeypatch):
         # the accuracy and the llg_plus row sums read one forward pass
@@ -410,6 +443,8 @@ class TestCli:
         pytest.param({"defense": {"kind": "compress", "theta": "0.8"}}, "theta",
                      id="theta-str"),
         pytest.param({"hidden": 0}, "hidden", id="hidden-zero"),
+        pytest.param({"samples_per_class": 1}, "samples_per_class",
+                     id="samples_per_class-one"),
     ])
     def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
         config = write_config(tmp_path, **overrides)

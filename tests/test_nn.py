@@ -3,6 +3,7 @@ gradients against term-by-term summation, SGD mechanics, determinism."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,48 @@ def sliding_window_patches(x, k, s):
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, ho * wo, -1)
 
 
+def cached_patches(layer, cache):
+    """The patch matrix of a Conv2D forward, gathered from the channels-last
+    input its cache holds."""
+    (*_, channels, h, w), flat_x = cache
+    return flat_x.take(_patch_index(channels, h, w, layer.kernel, layer.stride), axis=-1)
+
+
+def whole_batch_conv(layer, x, dy):
+    """Conv2D forward and backward through one patch matrix for the whole
+    batch, the expressions of the unblocked layer: (out, dx, dW, db)."""
+    *batch, channels, h, w = x.shape
+    k, s = layer.kernel, layer.stride
+    ho, wo = layer.output_hw(h, w)
+    patches = np.moveaxis(x, -3, -1).reshape(*batch, -1).take(
+        _patch_index(channels, h, w, k, s), axis=-1)
+    flat_w = layer.W.reshape(*layer.W.shape[:-4], 1, layer.out_channels, -1)
+    out = patches @ flat_w.swapaxes(-1, -2) + layer.b[..., None, None, :]
+    out = out.swapaxes(-1, -2).reshape(*batch, layer.out_channels, ho, wo)
+    dy_flat = dy.reshape(*batch, layer.out_channels, ho * wo)
+    lead = batch[:-1]
+    dy_rows = dy_flat.swapaxes(-3, -2).reshape(*lead, layer.out_channels, -1)
+    dW = (dy_rows @ patches.reshape(*lead, -1, patches.shape[-1])).reshape(layer.W.shape)
+    db = dy.sum(axis=(-4, -2, -1))
+    dpatches = dy_flat.swapaxes(-1, -2) @ flat_w
+    dpat = np.moveaxis(dpatches.reshape(*batch, ho, wo, channels, k, k), -3, -5)
+    dx = np.zeros(x.shape)
+    for di in range(k):
+        for dj in range(k):
+            dx[..., di:di + s * ho:s, dj:dj + s * wo:s] += dpat[..., di, dj]
+    return out, dx, dW, db
+
+
+def normal_maps(rng, shape, layout):
+    """A (..., C, H, W) array of normal draws: C-contiguous, the transpose
+    of a C-contiguous array, or a channels-last view."""
+    if layout == "transposed":
+        return rng.normal(size=shape[::-1]).T
+    if layout == "channels_last":
+        return np.moveaxis(rng.normal(size=shape[:-3] + shape[-2:] + shape[-3:-2]), -1, -3)
+    return rng.normal(size=shape)
+
+
 class TestSigmoid:
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), layout=LAYOUTS)
@@ -168,8 +211,8 @@ class TestSigmoid:
 
 class TestLayerKernels:
     """The forward bias adds and the sigmoid backward work in place on a
-    fresh temporary, and the conv patches are one gather; each must give the
-    bits of the expression it replaced."""
+    fresh temporary, and the conv patches are one gather per block of
+    samples; each must give the bits of the expression it replaced."""
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), layout=LAYOUTS, batch=st.integers(1, 9),
@@ -193,7 +236,8 @@ class TestLayerKernels:
             self, data, layout, batch, channels, hw, kernel, stride, seed):
         layer = Conv2D(*channels, kernel, stride, np.random.default_rng(seed))
         x = laid_out(data, (batch, channels[0], *hw), layout, FINITE)
-        out, (x_shape, patches) = layer.forward(x)
+        out, cache = layer.forward(x)
+        x_shape, patches = cache[0], cached_patches(layer, cache)
         flat_w = layer.W.reshape(layer.out_channels, -1)
         ho, wo = layer.output_hw(*hw)
         expected = (patches @ flat_w.T + layer.b).transpose(0, 2, 1).reshape(
@@ -213,8 +257,9 @@ class TestLayerKernels:
         layer = Conv2D(channels, 2, kernel, stride, np.random.default_rng(0))
         x = conv_input(data, (batch, channels, *hw), layout)
         misses = _patch_index.cache_info().misses
-        _, (_, patches) = layer.forward(x)
-        _, (_, again) = layer.forward(x)
+        _, cache = layer.forward(x)
+        patches = cached_patches(layer, cache)
+        again = cached_patches(layer, layer.forward(x)[1])
         assert _patch_index.cache_info().misses <= misses + 1
         assert np.array_equal(patches, sliding_window_patches(x, kernel, stride))
         assert np.array_equal(again, patches)
@@ -286,13 +331,43 @@ class TestLayerKernels:
         for c, layer in enumerate(layers):
             out_c, cache_c = layer.forward(x[c])
             dx_c, (dW_c, db_c) = layer.backward(cache_c, dy[c])
-            assert np.array_equal(cache[1][c], cache_c[1])
+            patches_c = cached_patches(layer, cache_c)
+            assert np.array_equal(cached_patches(conv, cache)[c], patches_c)
             # the dW product replaced this tensordot, on the same operands
             dy_flat = dy[c].reshape(batch, channels[1], ho * wo).transpose(0, 2, 1)
             assert np.array_equal(dW_c.reshape(channels[1], -1), np.tensordot(
-                dy_flat, cache_c[1], axes=([0, 1], [0, 1])))
+                dy_flat, patches_c, axes=([0, 1], [0, 1])))
             for got, expected in ((out, out_c), (dx, dx_c), (dW, dW_c), (db, db_c)):
                 assert np.array_equal(got[c], expected)
+
+    @settings(deadline=None, max_examples=60)
+    @given(layout=st.sampled_from(["contiguous", "transposed", "channels_last"]),
+           dy_layout=st.sampled_from(["contiguous", "channels_last"]),
+           stack=st.sampled_from([None, 1, 3]),
+           batch=st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129, 256, 257])),
+           channels=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+           hw=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+           kernel=st.integers(1, 3), stride=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_conv_matches_the_whole_batch_patches_bit_for_bit(
+            self, layout, dy_layout, stack, batch, channels, hw, kernel, stride, seed):
+        # forward gathers at most 128 samples' patches at a time and backward
+        # regathers them from the cached input; batches cross block edges
+        rng = np.random.default_rng(seed)
+        lead = () if stack is None else (stack,)
+        layers = [Conv2D(*channels, kernel, stride, rng) for _ in range(stack or 1)]
+        conv = layers[0] if stack is None else self.stack_of(layers)
+        ho, wo = conv.output_hw(*hw)
+        x = normal_maps(rng, (*lead, batch, channels[0], *hw), layout)
+        dy = normal_maps(rng, (*lead, batch, channels[1], ho, wo), dy_layout)
+        out, cache = conv.forward(x)
+        dx, (dW, db) = conv.backward(cache, dy)
+        x_shape, flat_x = cache
+        assert x_shape == x.shape and flat_x.shape == (*lead, batch, channels[0] * hw[0] * hw[1])
+        if layout == "channels_last":
+            assert np.shares_memory(flat_x, x)
+        for got, expected in zip((out, dx, dW, db), whole_batch_conv(conv, x, dy), strict=True):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), kind=st.sampled_from(["sigmoid", "relu", "flatten"]),
@@ -347,6 +422,25 @@ class TestLayerKernels:
             assert np.array_equal(grads.vector[c], grads_c.vector)
             assert all(np.array_equal(arr[c], arr_c)
                        for arr, arr_c in zip(grads.arrays(), grads_c.arrays(), strict=True))
+
+
+class TestConvMemory:
+    def test_held_out_forward_keeps_no_whole_batch_patch_matrix(self):
+        # patches of 1,000 rows took 2.6 MB (conv1) and 9.2 MB (conv2), and
+        # the cache kept both; now it keeps each conv layer's input
+        net = small_cnn((8, 8), 10)
+        x = np.random.default_rng(0).normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            logits, cache = net.forward(x)
+            held, peak = tracemalloc.get_traced_memory()
+            del cache
+            cache_bytes = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (1000, 10)
+        assert peak < 10e6
+        assert cache_bytes < 6e6
 
 
 class TestCrossEntropy:
