@@ -28,7 +28,6 @@ from .data import (
     synth_generate,
 )
 from .defenses import (
-    CompressionState,
     DefenseSpec,
     add_gaussian_noise,
     apply_defense,

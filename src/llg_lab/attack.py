@@ -58,14 +58,14 @@ def uniform_params(n_classes: int, sample_count: int) -> AttackParams:
     return AttackParams(-1.0 / sample_count, np.zeros(n_classes), sample_count)
 
 
-def estimate_impact_shared(last: LastLayerGradient, n_classes: int) -> float:
+def estimate_impact_shared(last: LastLayerGradient) -> float:
     """Impact from the shared gradient alone: the mean of the negative
-    per-class sums over |D|, scaled up by (1 + 1/n) to correct for the
-    positive entries the offsets hide."""
+    per-class sums over |D|, scaled up by (1 + 1/n), n = last.n_classes, to
+    correct for the positive entries the offsets hide."""
     negative = last.g[last.g < 0]
     if negative.size == 0:
         raise NoNegativeGradients("all per-class gradient sums are non-negative")
-    return float(negative.sum() * (1.0 + 1.0 / n_classes) / last.sample_count)
+    return float(negative.sum() * (1.0 + 1.0 / last.n_classes) / last.sample_count)
 
 
 def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .fl import RoundUpdate
-from .nn import Gradients, Network
+from .nn import Gradients
 
 
 def add_gaussian_noise(grads: Gradients, sigma: float,
@@ -41,41 +41,28 @@ def _noised(grads: Gradients, sigma: float, rng: np.random.Generator) -> Gradien
     return grads
 
 
-@dataclass
-class CompressionState:
-    """Per-client residual accumulator for gradient compression."""
-
-    residual: Gradients
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError("theta must lie in [0, 1)")
-
-    @classmethod
-    def for_network(cls, net: Network, theta: float) -> "CompressionState":
-        return cls(Gradients.zeros_for(net), theta)
-
-
-def compress(grads: Gradients, state: CompressionState) -> Gradients:
+def compress(grads: Gradients, residual: Gradients, theta: float) -> Gradients:
     """Send only prominent entries; keep the rest accumulating.
 
-    The incoming gradient is added to the residual; entries whose magnitude
-    exceeds the theta-quantile of the accumulated residual are emitted and
-    zeroed there, everything else stays for later rounds. Mutates state, so
-    emitted-so-far plus residual always equals the raw gradient total.
+    The incoming gradient is added to the client's residual; entries whose
+    magnitude exceeds the theta-quantile of the accumulated residual are
+    emitted and zeroed there, everything else stays for later rounds.
+    Mutates residual, so emitted-so-far plus residual always equals the raw
+    gradient total, also when theta changes between rounds.
     """
-    residual = state.residual.add_(grads).vector
-    magnitudes = np.abs(residual)
-    discard = int(np.floor(state.theta * residual.size))
+    if not 0.0 <= theta < 1.0:
+        raise ValueError("theta must lie in [0, 1)")
+    accumulated = residual.add_(grads).vector
+    magnitudes = np.abs(accumulated)
+    discard = int(np.floor(theta * accumulated.size))
     if discard == 0:
         threshold = -np.inf  # emit everything
     else:
         threshold = np.partition(magnitudes, discard - 1)[discard - 1]
     mask = magnitudes > threshold
-    emitted = np.where(mask, residual, 0.0)
-    residual[mask] = 0.0
-    return state.residual.like(emitted)
+    emitted = np.where(mask, accumulated, 0.0)
+    accumulated[mask] = 0.0
+    return residual.like(emitted)
 
 
 @dataclass(frozen=True)
@@ -150,10 +137,10 @@ def _conforms(value, hint) -> bool:
 
 
 def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generator | None,
-                  state: CompressionState | None = None) -> RoundUpdate:
+                  residual: Gradients | None = None) -> RoundUpdate:
     """Obfuscate one client update according to spec. Only the kinds that
     draw (`spec.draws`) read rng; compression requires the client's
-    persistent CompressionState."""
+    persistent residual (`Gradients.zeros_for(net)` before its first round)."""
     if spec.kind == "none":
         return update
     if spec.draws and rng is None:
@@ -163,10 +150,7 @@ def apply_defense(update: RoundUpdate, spec: DefenseSpec, rng: np.random.Generat
     elif spec.kind == "clip_noise":
         defended = dp_clip_and_noise(update.gradients, spec.beta, spec.sigma, rng)
     else:
-        if state is None:
-            raise ValueError("compression needs the client's CompressionState")
-        if state.theta != spec.theta:
-            raise ValueError(f"the CompressionState has theta={state.theta}, "
-                             f"the spec theta={spec.theta}")
-        defended = compress(update.gradients, state)
+        if residual is None:
+            raise ValueError("compression needs the client's residual")
+        defended = compress(update.gradients, residual, spec.theta)
     return replace(update, gradients=defended)

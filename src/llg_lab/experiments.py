@@ -33,9 +33,8 @@ from .attack import (
     uniform_params,
 )
 from .data import SyntheticSpec, partition_clients, synth_generate
-from .defenses import CompressionState, DefenseSpec, apply_defense, check_fields, check_types
+from .defenses import DefenseSpec, apply_defense, check_fields, check_types
 from .fl import (
-    BALANCES,
     BatchSpec,
     VALID_BATCH_SIZES,
     local_train_fedavg,
@@ -46,7 +45,7 @@ from .fl import (
 )
 from .labels import LabelMultiset
 from .metrics import attack_success_rate, hellinger, pearson, test_accuracy
-from .nn import Activation, mlp, small_cnn
+from .nn import Activation, Gradients, mlp, small_cnn
 
 ATTACKS = ("llg", "llg_star", "llg_plus", "random")
 MODELS = ("mlp", "cnn")
@@ -132,23 +131,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown attacks: {sorted(unknown)}; choose from {ATTACKS}")
         if not self.batch_sizes:
             raise ValueError("at least one batch size is required")
-        bad = [b for b in self.batch_sizes if b not in VALID_BATCH_SIZES]
-        if bad:
-            raise ValueError(f"batch sizes must be powers of two in [1, 128]; bad: {bad}")
-        if self.balance not in BALANCES:
-            raise ValueError(f"balance must be {' or '.join(map(repr, BALANCES))}, "
-                             f"got {self.balance!r}")
         if not self.defenses:
             raise ValueError("defenses may not be empty; use kind 'none'")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2: each class keeps one "
-                             "held-out sample and needs one more for training")
+        # the specs the run is built from check their own values
+        self.data_spec()
+        for size in self.batch_sizes:
+            BatchSpec(size, self.balance)
+        Activation(self.activation)
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         if self.model == "cnn":
@@ -157,9 +150,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"the cnn model needs a square input_dim, got {self.input_dim}"
                 )
-        if self.activation not in Activation.KINDS:
-            raise ValueError(f"activation must be {' or '.join(map(repr, Activation.KINDS))}, "
-                             f"got {self.activation!r}")
         if self.dummy_kind not in DUMMY_KINDS:
             raise ValueError(f"unknown dummy_kind {self.dummy_kind!r}")
         if self.eta <= 0:
@@ -173,6 +163,13 @@ class ExperimentConfig:
                 raise ValueError("convergence_sweep needs exactly one batch size")
             if len(self.defenses) != 1:
                 raise ValueError("convergence_sweep supports a single defense")
+
+    def data_spec(self) -> SyntheticSpec:
+        """The run's synthetic dataset, seeded from the master seed."""
+        return SyntheticSpec(n_classes=self.n_classes, input_dim=self.input_dim,
+                             samples_per_class=self.samples_per_class,
+                             cluster_spread=self.cluster_spread,
+                             seed=seed_of(self.master_seed, _STREAM_DATA))
 
     def algorithm_label(self) -> str:
         return "fedsgd" if self.algorithm == "fedsgd" else f"fedavg({self.gamma})"
@@ -250,8 +247,8 @@ def _victim_update(config: ExperimentConfig, net, pool, batch_size: int, rng):
     return local_train_fedavg(net, [pool], spec, config.gamma, config.eta, [rng])[0]
 
 
-def _guesses(config: ExperimentConfig, kind_idx: int, net, test, batch_size: int,
-             sample_count: int, rng_key: tuple) -> tuple[float, list[tuple]]:
+def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count: int,
+             rng_key: tuple) -> tuple[float, list[tuple]]:
     """The model's test accuracy and (attack, guess) per attack, from the
     undefended model alone: the llg_star/llg_plus AttackParams, the random
     multiset, or None for llg, whose estimate reads the shared gradient.
@@ -262,7 +259,8 @@ def _guesses(config: ExperimentConfig, kind_idx: int, net, test, batch_size: int
     calibration = config.experiment == "calibration_plot"
     guesses = []
     for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
-        rng = rng_for(config.master_seed, kind_idx, *rng_key, _STREAM_ATTACK, a_idx)
+        rng = rng_for(config.master_seed, KIND_INDEX[config.experiment], *rng_key,
+                      _STREAM_ATTACK, a_idx)
         if attack == "llg":
             guess = None
         elif attack == "random":
@@ -279,8 +277,8 @@ def _guesses(config: ExperimentConfig, kind_idx: int, net, test, batch_size: int
     return test_accuracy(logits, test.ys), guesses
 
 
-def _attack_rows(config: ExperimentConfig, kind_idx: int, accuracy: float, guesses: list,
-                 update, truth, cell: tuple[int, int, int]) -> list[ResultRow]:
+def _attack_rows(config: ExperimentConfig, accuracy: float, guesses: list, update, truth,
+                 cell: tuple[int, int, int]) -> list[ResultRow]:
     """Score one defended update against the cell's guesses: one ResultRow
     per attack, or the single llg_plus calibration row of calibration_plot.
     cell is (defense index, batch-size index, trial) and places the row seeds.
@@ -303,68 +301,56 @@ def _attack_rows(config: ExperimentConfig, kind_idx: int, accuracy: float, guess
         else:
             if attack == "llg":
                 try:
-                    guess = AttackParams(estimate_impact_shared(last, n), np.zeros(n), d)
+                    guess = AttackParams(estimate_impact_shared(last), np.zeros(n), d)
                 except NoNegativeGradients:
                     guess = uniform_params(n, d)
             extracted = guess if attack == "random" else llg_extract(last, guess)
             score = attack_success_rate(extracted, truth)
             distance = hellinger(extracted, truth)
         rows.append(ResultRow(attack=attack, asr=score, hellinger=distance,
-                              seed=seed_of(config.master_seed, kind_idx, d_idx, b_idx,
-                                           a_idx, trial),
+                              seed=seed_of(config.master_seed, KIND_INDEX[config.experiment],
+                                           d_idx, b_idx, a_idx, trial),
                               **common))
     return rows
 
 
-def _make_data(config: ExperimentConfig):
-    spec = SyntheticSpec(
-        n_classes=config.n_classes,
-        input_dim=config.input_dim,
-        samples_per_class=config.samples_per_class,
-        cluster_spread=config.cluster_spread,
-        seed=seed_of(config.master_seed, _STREAM_DATA),
-    )
-    return synth_generate(spec)
-
-
-def _run_grid(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
-    master = config.master_seed
-    pool, test = _make_data(config)
+def _run_grid(config: ExperimentConfig, progress=None) -> list[ResultRow]:
+    master, kind_idx = config.master_seed, KIND_INDEX[config.experiment]
+    pool, test = synth_generate(config.data_spec())
     arms: list[list[ResultRow]] = [[] for _ in config.defenses]
     for b_idx, trial in product(range(len(config.batch_sizes)), range(config.trials)):
         batch_size = config.batch_sizes[b_idx]
         net = _build_model(config, seed_of(master, kind_idx, b_idx, trial, _STREAM_MODEL))
         victim_rng = rng_for(master, kind_idx, b_idx, trial, _STREAM_VICTIM)
         update, truth = _victim_update(config, net, pool, batch_size, victim_rng)
-        accuracy, guesses = _guesses(config, kind_idx, net, test, batch_size,
-                                     update.sample_count, (b_idx, trial))
+        accuracy, guesses = _guesses(config, net, test, batch_size, update.sample_count,
+                                     (b_idx, trial))
         for d_idx, defense in enumerate(config.defenses):
             defended = update
             if defense.kind != "none":
-                state = (CompressionState.for_network(net, defense.theta)
-                         if defense.kind == "compress" else None)
+                residual = Gradients.zeros_for(net) if defense.kind == "compress" else None
                 defense_rng = (rng_for(master, kind_idx, d_idx, b_idx, trial, _STREAM_DEFENSE)
                                if defense.draws else None)
-                defended = apply_defense(update, defense, defense_rng, state)
-            arms[d_idx] += _attack_rows(config, kind_idx, accuracy, guesses, defended, truth,
+                defended = apply_defense(update, defense, defense_rng, residual)
+            arms[d_idx] += _attack_rows(config, accuracy, guesses, defended, truth,
                                         (d_idx, b_idx, trial))
             if progress is not None:
                 progress()
     return [row for rows in arms for row in rows]
 
 
-def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> list[ResultRow]:
-    master = config.master_seed
+def _run_convergence(config: ExperimentConfig, progress=None) -> list[ResultRow]:
+    master, kind_idx = config.master_seed, KIND_INDEX[config.experiment]
     batch_size = config.batch_sizes[0]
     defense = config.defenses[0]
-    pool, test = _make_data(config)
+    pool, test = synth_generate(config.data_spec())
     clients = partition_clients(pool, config.n_clients, config.samples_per_client,
                                 rng_for(master, _STREAM_PARTITION))
     net = _build_model(config, seed_of(master, kind_idx, _STREAM_MODEL))
     spec = BatchSpec(batch_size, config.balance)
     # FedSGD is the gamma = 1 case of FedAvg, bit for bit
     gamma = config.gamma if config.algorithm == "fedavg" else 1
-    states: dict[int, CompressionState] = {}
+    residuals: dict[int, Gradients] = {}
     rows: list[ResultRow] = []
     for round_idx in range(1, config.rounds + 1):
         selected = select_clients(config.n_clients, config.clients_per_round,
@@ -373,20 +359,20 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
         trained = local_train_fedavg(net, [clients[cid] for cid in selected], spec, gamma,
                                      config.eta, rngs)
         updates = []
-        for cid, (update, truth) in zip(selected, trained):
+        for cid, (update, _) in zip(selected, trained):
             if defense.kind != "none":
-                if defense.kind == "compress" and cid not in states:
-                    states[cid] = CompressionState.for_network(net, defense.theta)
+                if defense.kind == "compress" and cid not in residuals:
+                    residuals[cid] = Gradients.zeros_for(net)
                 defense_rng = (rng_for(master, kind_idx, cid, round_idx, _STREAM_DEFENSE)
                                if defense.draws else None)
-                update = apply_defense(update, defense, defense_rng, states.get(cid))
+                update = apply_defense(update, defense, defense_rng, residuals.get(cid))
             updates.append(update)
-            if cid == 0:
-                victim_update, victim_truth = update, truth
-        accuracy, guesses = _guesses(config, kind_idx, net, test, batch_size,
-                                     victim_update.sample_count, (round_idx,))
-        rows += _attack_rows(config, kind_idx, accuracy, guesses,
-                             victim_update, victim_truth, (0, 0, round_idx))
+        # select_clients puts the victim, client 0, first
+        victim_update, victim_truth = updates[0], trained[0][1]
+        accuracy, guesses = _guesses(config, net, test, batch_size, victim_update.sample_count,
+                                     (round_idx,))
+        rows += _attack_rows(config, accuracy, guesses, victim_update, victim_truth,
+                             (0, 0, round_idx))
         server_aggregate(updates, net, config.eta)
         if progress is not None:
             progress()
@@ -395,10 +381,9 @@ def _run_convergence(config: ExperimentConfig, kind_idx: int, progress=None) -> 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> list[ResultRow]:
     """Run one experiment; returns one ResultRow per (cell, trial, attack)."""
-    kind_idx = KIND_INDEX[config.experiment]
     if config.experiment == "convergence_sweep":
-        return _run_convergence(config, kind_idx, progress)
-    return _run_grid(config, kind_idx, progress)
+        return _run_convergence(config, progress)
+    return _run_grid(config, progress)
 
 
 def task_count(config: ExperimentConfig) -> int:

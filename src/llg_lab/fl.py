@@ -35,9 +35,9 @@ class BatchSpec:
 
     def __post_init__(self):
         if self.size not in VALID_BATCH_SIZES:
-            raise ValueError(
-                f"batch size must be a power of two in [1, 128], got {self.size}"
-            )
+            raise ValueError(f"batch size must be a power of two in [1, 128], got "
+                             f"{self.size}; the batch sizes are the powers of two "
+                             f"{VALID_BATCH_SIZES}")
         if self.balance not in BALANCES:
             raise ValueError(f"balance must be {' or '.join(map(repr, BALANCES))}, "
                              f"got {self.balance!r}")

@@ -12,7 +12,7 @@ import numpy as np
 from llg_lab import experiments
 from llg_lab.attack import estimate_params_auxiliary, llg_extract, random_guess
 from llg_lab.data import SyntheticSpec, synth_generate
-from llg_lab.defenses import CompressionState, DefenseSpec, apply_defense
+from llg_lab.defenses import DefenseSpec, apply_defense
 from llg_lab.experiments import ExperimentConfig, emit_csv, run_experiment
 from llg_lab.fl import BatchSpec, local_train_fedavg, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
@@ -312,8 +312,7 @@ def test_c08_deeper_cnn_keeps_its_head_under_compression():
                 xs, ys = make_batch(train, BatchSpec(32, "unbalanced"), rng)
                 update = local_train_fedsgd(net, xs, ys)
                 truth = LabelMultiset.from_labels(ys, 10)
-                defended = apply_defense(update, compression, rng,
-                                         CompressionState.for_network(net, 0.8))
+                defended = apply_defense(update, compression, rng, Gradients.zeros_for(net))
                 kept.append(float(np.mean(defended.gradients.head[0] != 0)))
                 logits, cache = net.forward(aux.xs)
                 params = estimate_params_auxiliary(logits, cache.penultimate, aux, 32, 32, rng)
@@ -389,8 +388,8 @@ def test_c10_numerical_core():
             zip(sgd_update.gradients.arrays(), avg_update.gradients.arrays())
         )
 
-        from llg_lab.defenses import CompressionState, compress
-        state = CompressionState.for_network(net, 0.7)
+        from llg_lab.defenses import compress
+        residual = Gradients.zeros_for(net)
         raw_total = Gradients.zeros_for(net)
         emitted_total = Gradients.zeros_for(net)
         grng = np.random.default_rng(11)
@@ -399,10 +398,10 @@ def test_c10_numerical_core():
             for arr in grads.arrays():
                 arr += grng.integers(-8, 9, size=arr.shape).astype(float)
             raw_total.add_(grads)
-            emitted_total.add_(compress(grads, state))
+            emitted_total.add_(compress(grads, residual, 0.7))
         conserved = all(
             np.array_equal(e + r, raw) for e, r, raw in
-            zip(emitted_total.arrays(), state.residual.arrays(), raw_total.arrays())
+            zip(emitted_total.arrays(), residual.arrays(), raw_total.arrays())
         )
         ok = worst >= 0.99 and identical and conserved
         c.done(ok, f"fd agreement >= {worst:.4f}, fedavg(1)==fedsgd: {identical}, "

@@ -78,13 +78,13 @@ def looped_extract(g, params: AttackParams, target: int) -> np.ndarray:
 class TestImpactFromSharedGradients:
     def test_matches_direct_arithmetic(self):
         g = np.array([-0.5, 0.2, -0.3, 0.1, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0])
-        m = estimate_impact_shared(last_from_g(g, 8), 10)
+        m = estimate_impact_shared(last_from_g(g, 8))
         assert m == pytest.approx((1.0 / 8.0) * (-0.8) * 1.1, rel=1e-12)
         assert m == pytest.approx(-0.11, rel=1e-12)
 
     def test_all_non_negative_raises(self):
         with pytest.raises(NoNegativeGradients):
-            estimate_impact_shared(last_from_g([0.1, 0.0, 0.2], 4), 3)
+            estimate_impact_shared(last_from_g([0.1, 0.0, 0.2], 4))
 
     def test_within_factor_two_of_activation_based_value(self, world):
         # oracle: the per-occurrence impact is -(per-sample activation sum,
@@ -97,7 +97,7 @@ class TestImpactFromSharedGradients:
             update = local_train_fedsgd(net, xs, ys)
             _, cache = net.forward(xs)
             true_impact = -float(cache.penultimate.sum(axis=1).mean()) / 8.0
-            estimated = estimate_impact_shared(update.last_layer(), 10)
+            estimated = estimate_impact_shared(update.last_layer())
             ratio = estimated / true_impact  # both negative
             assert 0.5 <= ratio <= 2.0
 
@@ -108,7 +108,7 @@ class TestImpactFromSharedGradients:
             net = mlp(64, 10, seed=900 + trial)
             xs, ys = make_batch(train, BatchSpec(32, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
-            assert estimate_impact_shared(update.last_layer(), 10) < 0
+            assert estimate_impact_shared(update.last_layer()) < 0
 
 
 class TestWhiteBoxEstimation:
@@ -525,7 +525,7 @@ class TestAuxiliaryEstimation:
             plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
             aux_scores.append(attack_success_rate(llg_extract(last, plus), truth))
             try:
-                base = AttackParams(estimate_impact_shared(last, 10), np.zeros(10), 32)
+                base = AttackParams(estimate_impact_shared(last), np.zeros(10), 32)
             except NoNegativeGradients:
                 base = uniform_params(10, 32)
             shared_scores.append(attack_success_rate(llg_extract(last, base), truth))
@@ -714,7 +714,7 @@ class TestAttackOrdering:
             plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
             scores["llg_plus"].append(attack_success_rate(llg_extract(last, plus), truth))
             try:
-                base = AttackParams(estimate_impact_shared(last, 10), np.zeros(10), 32)
+                base = AttackParams(estimate_impact_shared(last), np.zeros(10), 32)
             except NoNegativeGradients:
                 base = uniform_params(10, 32)
             scores["llg"].append(attack_success_rate(llg_extract(last, base), truth))

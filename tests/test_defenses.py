@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from llg_lab.defenses import (
-    CompressionState,
     DefenseSpec,
     add_gaussian_noise,
     apply_defense,
@@ -122,11 +121,11 @@ class TestCompression:
     def test_theta_zero_emits_everything_and_clears_residual(self):
         net = mlp(8, 3, seed=5)
         grads = random_grads(net, np.random.default_rng(11))
-        state = CompressionState.for_network(net, 0.0)
-        emitted = compress(grads, state)
+        residual = Gradients.zeros_for(net)
+        emitted = compress(grads, residual, 0.0)
         for e, g in zip(emitted.arrays(), grads.arrays()):
             assert np.array_equal(e, g)
-        assert all(not arr.any() for arr in state.residual.arrays())
+        assert all(not arr.any() for arr in residual.arrays())
 
     def test_two_round_residual_accumulation_crosses_threshold(self):
         # four entries, theta = 0.5 discards the two smallest magnitudes:
@@ -138,17 +137,17 @@ class TestCompression:
         total = sum(a.size for a in Gradients.zeros_for(net).arrays())
         assert total == 4
         values = np.array([8.0, 5.0, 3.0, 0.1])
-        state = CompressionState.for_network(net, 0.5)
-        first = compress(grads_from(net, values), state)
+        residual = Gradients.zeros_for(net)
+        first = compress(grads_from(net, values), residual, 0.5)
         first_flat = np.concatenate([a.ravel() for a in first.arrays()])
         assert np.array_equal(first_flat, [8.0, 5.0, 0.0, 0.0])
-        residual_flat = np.concatenate([a.ravel() for a in state.residual.arrays()])
+        residual_flat = np.concatenate([a.ravel() for a in residual.arrays()])
         assert np.array_equal(residual_flat, [0.0, 0.0, 3.0, 0.1])
-        second = compress(grads_from(net, values), state)
+        second = compress(grads_from(net, values), residual, 0.5)
         second_flat = np.concatenate([a.ravel() for a in second.arrays()])
         # accumulated 6.0 now beats the fresh 5.0, which stays suppressed
         assert np.array_equal(second_flat, [8.0, 0.0, 6.0, 0.0])
-        residual_flat = np.concatenate([a.ravel() for a in state.residual.arrays()])
+        residual_flat = np.concatenate([a.ravel() for a in residual.arrays()])
         assert np.array_equal(residual_flat, [0.0, 5.0, 0.0, 0.2])
 
     def test_emission_cap(self):
@@ -156,9 +155,9 @@ class TestCompression:
         rng = np.random.default_rng(12)
         total = sum(a.size for a in Gradients.zeros_for(net).arrays())
         for theta in (0.2, 0.5, 0.8, 0.99):
-            state = CompressionState.for_network(net, theta)
+            residual = Gradients.zeros_for(net)
             for _ in range(5):
-                emitted = compress(random_grads(net, rng), state)
+                emitted = compress(random_grads(net, rng), residual, theta)
                 nonzero = sum(int((a != 0).sum()) for a in emitted.arrays())
                 assert nonzero <= int(np.ceil((1.0 - theta) * total))
 
@@ -168,7 +167,7 @@ class TestCompression:
         # equality holds bit-for-bit regardless of when entries were emitted
         net = mlp(12, 3, seed=8)
         rng = np.random.default_rng(13)
-        state = CompressionState.for_network(net, 0.7)
+        residual = Gradients.zeros_for(net)
         running_raw = Gradients.zeros_for(net)
         running_emitted = Gradients.zeros_for(net)
         for _ in range(50):
@@ -176,26 +175,26 @@ class TestCompression:
             for arr in grads.arrays():
                 arr += rng.integers(-8, 9, size=arr.shape).astype(float)
             running_raw.add_(grads)
-            running_emitted.add_(compress(grads, state))
+            running_emitted.add_(compress(grads, residual, 0.7))
         for raw, emitted, residual in zip(running_raw.arrays(),
                                           running_emitted.arrays(),
-                                          state.residual.arrays()):
+                                          residual.arrays()):
             assert np.array_equal(emitted + residual, raw)
 
     def test_conservation_with_float_gradients(self):
         # same invariant under generic floats, up to summation regrouping
         net = mlp(12, 3, seed=8)
         rng = np.random.default_rng(14)
-        state = CompressionState.for_network(net, 0.7)
+        residual = Gradients.zeros_for(net)
         running_raw = Gradients.zeros_for(net)
         running_emitted = Gradients.zeros_for(net)
         for _ in range(50):
             grads = random_grads(net, rng)
             running_raw.add_(grads)
-            running_emitted.add_(compress(grads, state))
+            running_emitted.add_(compress(grads, residual, 0.7))
         for raw, emitted, residual in zip(running_raw.arrays(),
                                           running_emitted.arrays(),
-                                          state.residual.arrays()):
+                                          residual.arrays()):
             assert emitted + residual == pytest.approx(raw, rel=1e-12, abs=1e-12)
 
     @settings(deadline=None, max_examples=60)
@@ -210,24 +209,46 @@ class TestCompression:
         at = data.draw(st.integers(0, len(shapes)))
         layout = tuple(shapes[:at] + [None] + shapes[at:])
         size = sum(math.prod(w) + math.prod(b) for w, b in shapes)
-        state = CompressionState(Gradients(np.zeros(size), layout), theta)
+        residual = Gradients(np.zeros(size), layout)
         raw_total = np.zeros(size)
         emitted_total = np.zeros(size)
         for _ in range(rounds):
             values = data.draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
-            grads = state.residual.like(np.array(values, dtype=np.float64))
-            accumulated = state.residual.vector + grads.vector
-            emitted = compress(grads, state).vector
+            grads = residual.like(np.array(values, dtype=np.float64))
+            accumulated = residual.vector + grads.vector
+            emitted = compress(grads, residual, theta).vector
             assert np.all((emitted == accumulated) | (emitted == 0.0))
             assert np.count_nonzero(emitted) <= size - int(np.floor(theta * size))
             raw_total += grads.vector
             emitted_total += emitted
-            assert np.array_equal(emitted_total + state.residual.vector, raw_total)
+            assert np.array_equal(emitted_total + residual.vector, raw_total)
+
+    def test_one_residual_carries_across_a_change_of_theta(self):
+        # a sparsity warm-up compresses one client's residual at a rising
+        # theta; integer entries keep the conservation exact bit for bit
+        net = mlp(12, 3, seed=8)
+        rng = np.random.default_rng(15)
+        residual = Gradients.zeros_for(net)
+        raw_total = Gradients.zeros_for(net)
+        emitted_total = Gradients.zeros_for(net)
+        for theta in (0.2, 0.2, 0.5, 0.8, 0.8):
+            grads = residual.like(rng.integers(-8, 9, size=residual.vector.size)
+                                  .astype(np.float64))
+            raw_total.add_(grads)
+            emitted = compress(grads, residual, theta)
+            cap = residual.vector.size - int(np.floor(theta * residual.vector.size))
+            assert np.count_nonzero(emitted.vector) <= cap
+            emitted_total.add_(emitted)
+            assert np.array_equal(emitted_total.vector + residual.vector, raw_total.vector)
+        assert residual.vector.any()
 
     def test_invalid_theta_rejected(self):
         net = mlp(8, 3, seed=9)
-        with pytest.raises(ValueError, match="theta"):
-            CompressionState.for_network(net, 1.0)
+        residual = Gradients.zeros_for(net)
+        for theta in (1.0, -0.1):
+            with pytest.raises(ValueError, match="theta"):
+                compress(random_grads(net, np.random.default_rng(0)), residual, theta)
+        assert not residual.vector.any()
 
 
 class TestDefenseSpec:
@@ -258,7 +279,7 @@ class TestDefenseSpec:
         update = local_train_fedsgd(
             net, np.zeros((2, 8)), [1, 2]
         )
-        with pytest.raises(ValueError, match="CompressionState"):
+        with pytest.raises(ValueError, match="residual"):
             apply_defense(update, DefenseSpec("compress", theta=0.5),
                           np.random.default_rng(0))
 
@@ -272,20 +293,10 @@ class TestDefenseSpec:
         for spec in (DefenseSpec(), DefenseSpec("compress", theta=0.5)):
             assert not spec.draws
         spec = DefenseSpec("compress", theta=0.5)
-        without = apply_defense(update, spec, None, CompressionState.for_network(net, 0.5))
+        without = apply_defense(update, spec, None, Gradients.zeros_for(net))
         with_rng = apply_defense(update, spec, np.random.default_rng(0),
-                                 CompressionState.for_network(net, 0.5))
+                                 Gradients.zeros_for(net))
         assert np.array_equal(without.gradients.vector, with_rng.gradients.vector)
-
-    def test_compress_rejects_a_state_of_another_theta(self):
-        # a theta=0.2 state would emit 80% of the entries under a 0.8 spec
-        net = mlp(8, 3, seed=10)
-        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
-        state = CompressionState.for_network(net, 0.2)
-        with pytest.raises(ValueError, match="theta"):
-            apply_defense(update, DefenseSpec("compress", theta=0.8),
-                          np.random.default_rng(0), state)
-        assert not state.residual.vector.any()
 
 
 @pytest.fixture(scope="module")
@@ -307,9 +318,8 @@ def llg_plus_asr(train, test, batch_size, defense, trials, activation="sigmoid")
         params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
                                            update.sample_count, rng)
         if defense is not None:
-            state = (CompressionState.for_network(net, defense.theta)
-                     if defense.kind == "compress" else None)
-            update = apply_defense(update, defense, rng, state)
+            residual = Gradients.zeros_for(net) if defense.kind == "compress" else None
+            update = apply_defense(update, defense, rng, residual)
         scores.append(attack_success_rate(llg_extract(update.last_layer(), params), truth))
     return float(np.mean(scores))
 

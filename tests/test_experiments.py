@@ -56,9 +56,9 @@ def held_out_counts(monkeypatch, config):
     gradient_row_sums calls, over one run of config."""
     counts: Counter = Counter()
     made = []
-    make_data = experiments._make_data
-    monkeypatch.setattr(experiments, "_make_data",
-                        lambda cfg: made.append(make_data(cfg)) or made[-1])
+    generate = experiments.synth_generate
+    monkeypatch.setattr(experiments, "synth_generate",
+                        lambda spec: made.append(generate(spec)) or made[-1])
     forward = nn.Network.forward
 
     def counted_forward(net, batch):
@@ -120,6 +120,40 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="samples_per_class must be >= 2"):
                 small_config(samples_per_class=samples)
         assert small_config(samples_per_class=2).samples_per_class == 2
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("n_classes", 1, "n_classes must be >= 2"),
+        ("input_dim", 0, "input_dim must be >= 1"),
+        ("cluster_spread", -0.1, "cluster_spread must be >= 0"),
+        ("samples_per_class", 1, "held-out sample"),
+    ])
+    def test_data_values_out_of_range_rejected_when_built(self, field, value, reason):
+        # the run's SyntheticSpec checks them before any data is generated
+        with pytest.raises(ValueError, match=reason):
+            ExperimentConfig.from_dict({"experiment": "asr_vs_batchsize", field: value})
+        with pytest.raises(ValueError, match=reason):
+            ExperimentConfig("asr_vs_batchsize", **{field: value})
+        with pytest.raises(ValueError, match=reason):
+            replace(small_config(), **{field: value})
+
+    def test_data_spec_is_the_runs_dataset(self, monkeypatch):
+        config = small_config(n_classes=4, input_dim=9, cluster_spread=0.5)
+        spec = config.data_spec()
+        assert (spec.n_classes, spec.input_dim, spec.samples_per_class,
+                spec.cluster_spread) == (4, 9, 40, 0.5)
+        assert spec.seed == experiments.seed_of(3, experiments._STREAM_DATA)
+        specs = []
+        generate = experiments.synth_generate
+        monkeypatch.setattr(experiments, "synth_generate",
+                            lambda spec: specs.append(spec) or generate(spec))
+        run_experiment(config)
+        assert specs == [spec]
+
+    def test_bad_activation_and_balance_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            small_config(activation="tanh")
+        with pytest.raises(ValueError, match="balance must be 'balanced' or 'unbalanced'"):
+            small_config(balance="skewed")
 
     def test_convergence_needs_single_batch_size(self):
         with pytest.raises(ValueError, match="exactly one batch size"):
@@ -445,12 +479,16 @@ class TestCli:
         pytest.param({"hidden": 0}, "hidden", id="hidden-zero"),
         pytest.param({"samples_per_class": 1}, "samples_per_class",
                      id="samples_per_class-one"),
+        pytest.param({"input_dim": 0}, "input_dim", id="input_dim-zero"),
+        pytest.param({"cluster_spread": -0.1}, "cluster_spread",
+                     id="cluster_spread-negative"),
     ])
     def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
         config = write_config(tmp_path, **overrides)
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "error" in err and field in err
+        assert "progress" not in err  # rejected before the run starts
 
     def test_missing_config_returns_error_code(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
