@@ -90,21 +90,36 @@ def _probe_means(n: int, batch_size: int, draw,
                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean rows of every single-label probe, in the order they are drawn:
     IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
-    (offset size, label), shape (S, n, n). draw(label, size) gives a probe's
-    (size, n) rows or, when `rows` is given, the (size,) indices of its rows
-    in that table, gathered once per probe table. Each table takes one mean
-    over the sample axis, which adds every probe's rows in the order its own
-    mean would."""
+    (offset size, label), shape (S, n, n). draw(label, size, count) gives
+    `count` consecutive probes of that label and size, each its (size, n)
+    rows or, when `rows` is given, the (size,) indices of its rows in that
+    table, gathered once per probe table. Each table takes one mean over the
+    sample axis, which adds every probe's rows in the order its own mean
+    would."""
     def table(probes) -> np.ndarray:
-        drawn = np.stack([draw(label, size) for label, size in probes])
+        drawn = np.stack([probe for label, size, count in probes
+                          for probe in draw(label, size, count)])
         return drawn if rows is None else rows.take(drawn, axis=0)
 
     labels = range(1, n + 1)
-    impact = table((label, batch_size) for label in labels for _ in range(IMPACT_BATCHES))
+    impact = table((label, batch_size, IMPACT_BATCHES) for label in labels)
     impact = impact.reshape(n, IMPACT_BATCHES, batch_size, n).mean(axis=2)
-    offsets = np.stack([table((label, size) for label in labels).mean(axis=1)
+    offsets = np.stack([table((label, size, 1) for label in labels).mean(axis=1)
                         for size in OFFSET_BATCH_SIZES])
     return impact, offsets
+
+
+def _probe_indices(pool: np.ndarray, size: int, count: int,
+                   rng: np.random.Generator) -> np.ndarray | list[np.ndarray]:
+    """`count` probes of `size` entries of pool, drawn as `count` calls of
+    rng.choice(pool, size, replace=size > len(pool)) would draw them. With
+    replacement that call gathers one rng.integers draw, and consecutive
+    integers draws chain through the generator's state, so one (count, size)
+    draw gives every probe; without replacement each probe keeps its own
+    call."""
+    if size > len(pool):
+        return pool[rng.integers(0, len(pool), (count, size))]
+    return [rng.choice(pool, size=size, replace=False) for _ in range(count)]
 
 
 def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
@@ -134,9 +149,11 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     input_dim = int(np.prod(net.input_shape))
 
     if dummy_kind == "uniform_random":
-        def rows_for_label(label: int, size: int) -> np.ndarray:
-            logits, cache = net.forward(rng.random((size, input_dim)))
-            return gradient_row_sums(logits, cache.penultimate, np.full(size, label))
+        def rows_for_label(label: int, size: int, count: int) -> list[np.ndarray]:
+            # one forward per probe: stacking probes would change the GEMM bits
+            forwards = (net.forward(rng.random((size, input_dim))) for _ in range(count))
+            return [gradient_row_sums(logits, cache.penultimate, np.full(size, label))
+                    for logits, cache in forwards]
 
         return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
     # every sample of a probe is the same input, so the row labelled l is
@@ -166,9 +183,8 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
 
-    def indices_for_label(label: int, size: int) -> np.ndarray:
-        pool = aux.class_indices(label)
-        return rng.choice(pool, size=size, replace=size > len(pool))
+    def indices_for_label(label: int, size: int, count: int) -> np.ndarray | list[np.ndarray]:
+        return _probe_indices(aux.class_indices(label), size, count, rng)
 
     return _params(*_probe_means(n, batch_size, indices_for_label, rows), batch_size,
                    sample_count)
@@ -182,6 +198,9 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
     2. Subtract the offsets to calibrate the remaining values.
     3. Repeatedly extract the minimum entry (subtracting the impact each
        time) until |D| labels are out. Ties go to the lowest label index.
+       This runs as one stable sort of every label's running values
+       g_i, g_i - impact, ..., which makes the same picks with the same
+       tie rule.
     """
     g = np.array(last.g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
@@ -200,13 +219,20 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
     present = np.flatnonzero(g < 0)[:target]
     counts[present] = 1
     g[present] -= params.impact
-    extracted = present.size
     g -= params.offsets
-    while extracted < target:
-        i = int(np.argmin(g))
-        counts[i] += 1
-        g[i] -= params.impact
-        extracted += 1
+    left = target - present.size
+    if left and params.impact >= 0:
+        # a pick never raises the minimum entry, so it takes every pick
+        counts[np.argmin(g)] += left
+    elif left:
+        # label i's running values g_i, g_i - impact, ... (a - b is a + (-b)
+        # bit for bit) never fall, so picking minima one at a time with ties
+        # to the lowest label takes the first `left` of a stable label-major
+        # sort
+        steps = np.full((n, left), -params.impact)
+        steps[:, 0] = g
+        picks = np.argsort(np.add.accumulate(steps, axis=1), axis=None, kind="stable")[:left]
+        counts += np.bincount(picks // left, minlength=n)
     return LabelMultiset(counts)
 
 

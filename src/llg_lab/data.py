@@ -87,8 +87,8 @@ class SyntheticSpec:
                              "held-out sample and needs one more for training")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if self.cluster_spread < 0:
-            raise ValueError("cluster_spread must be >= 0")
+        if not 0 <= self.cluster_spread < np.inf:  # NaN fails too
+            raise ValueError("cluster_spread must be >= 0 and finite")
 
 
 def class_anchors(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:

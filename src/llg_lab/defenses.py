@@ -4,6 +4,7 @@ and magnitude-threshold compression with a cross-round residual."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -116,18 +117,22 @@ def check_fields(cls, raw: dict, what: str) -> None:
 
 def check_types(obj, what: str) -> None:
     """Reject a field of the dataclass instance obj whose value is not of
-    the type its class declares. A bool is no number, an int is a float, and
-    a tuple field takes a list or a tuple of its item type."""
+    the type its class declares. A bool is no number, an int is a float, a
+    float is finite (NaN would pass every range check), and a tuple field
+    takes a list or a tuple of its item type."""
     for name, hint in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not _conforms(value, hint):
             declared = hint.__name__ if isinstance(hint, type) else hint
-            raise ValueError(f"{what} field {name!r} must be {declared}, got {value!r}")
+            finite = not isinstance(value, float) or math.isfinite(value)
+            raise ValueError(f"{what} field {name!r} must be {declared}, got {value!r}"
+                             + ("" if finite else " (numbers must be finite)"))
 
 
 def _conforms(value, hint) -> bool:
     if hint is int or hint is float:
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        return (isinstance(value, (int, hint)) and not isinstance(value, bool)
+                and (isinstance(value, int) or math.isfinite(value)))
     if hint is tuple or get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and all(
             _conforms(item, arg) for arg in get_args(hint)[:1] for item in value)

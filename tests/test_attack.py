@@ -251,9 +251,10 @@ def network_row_sums(net, batch, labels):
     return rows
 
 
-def network_auxiliary(net, aux, batch_size, sample_count, rng):
-    """estimate_params_auxiliary as it was when it took the network: the
-    oracle path of the shared held-out forward."""
+def network_auxiliary(net, aux, batch_size, rng):
+    """estimate_params_auxiliary as it was when it took the network and drew
+    its probes one rng.choice at a time: the oracle path of the shared
+    held-out forward, as (impact, offsets)."""
     n = net.n_classes
     for label in range(1, n + 1):
         if len(aux.class_indices(label)) == 0:
@@ -264,8 +265,7 @@ def network_auxiliary(net, aux, batch_size, sample_count, rng):
         pool = aux.class_indices(label)
         return rows[rng.choice(pool, size=size, replace=size > len(pool))]
 
-    return attack._params(*attack._probe_means(n, batch_size, rows_for_label), batch_size,
-                          sample_count)
+    return loop_estimates(n, batch_size, rows_for_label)
 
 
 class TestProbeRowSums:
@@ -391,32 +391,53 @@ class TestProbeTables:
     @settings(deadline=None, max_examples=60)
     @given(batch_size=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
     def test_one_gather_per_table_equals_a_gather_per_probe(self, world, batch_size, seed):
-        # the same rng.choice calls in the same order; the oracle gathers
-        # each probe's rows on its own and stacks them
+        # the oracle makes one rng.choice call per probe, in the estimator's
+        # order, and gathers and averages each probe's rows on its own
         _, aux = world
         rows = np.random.default_rng(seed).normal(size=(len(aux), 10))
         table = rows.view(CountingTakes)
         table.takes = []
-
-        def indices_from(rng, draws):
-            def indices_for_label(label, size):
-                draws.append((label, size))
-                pool = aux.class_indices(label)
-                return rng.choice(pool, size=size, replace=size > len(pool))
-            return indices_for_label
-
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws, loop_draws = [], []
-        tables = attack._probe_means(10, batch_size, indices_from(rng, draws), table)
-        loop_indices = indices_from(loop_rng, loop_draws)
-        looped = attack._probe_means(10, batch_size,
-                                     lambda label, size: rows[loop_indices(label, size)])
+        draws = []
+
+        def indices_for_label(label, size, count):
+            draws.append((label, size, count))
+            return attack._probe_indices(aux.class_indices(label), size, count, rng)
+
+        tables = attack._probe_means(10, batch_size, indices_for_label, table)
+
+        def probe_mean(label, size):
+            pool = aux.class_indices(label)
+            return rows[loop_rng.choice(pool, size=size, replace=size > len(pool))].mean(axis=0)
+
+        labels = range(1, 11)
+        looped = (np.array([[probe_mean(label, batch_size) for _ in range(IMPACT_BATCHES)]
+                            for label in labels]),
+                  np.array([[probe_mean(label, size) for label in labels]
+                            for size in OFFSET_BATCH_SIZES]))
         for got, expected in zip(tables, looped, strict=True):
             assert type(got) is np.ndarray
-            assert np.array_equal(got, expected)
-        assert draws == loop_draws
-        assert len(draws) == 10 * (IMPACT_BATCHES + len(OFFSET_BATCH_SIZES))
+            assert got.tobytes() == expected.tobytes()
+        assert draws == ([(label, batch_size, IMPACT_BATCHES) for label in labels]
+                         + [(label, size, 1) for size in OFFSET_BATCH_SIZES for label in labels])
         assert len(table.takes) == 1 + len(OFFSET_BATCH_SIZES)
+        assert rng.random() == loop_rng.random()
+
+    @settings(deadline=None, max_examples=300)
+    @given(pool_size=st.integers(1, 150), size=st.integers(1, 300), count=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_draw_per_table_equals_a_choice_per_probe(self, pool_size, size, count, seed):
+        # with replacement (size > pool) one integers draw stands for count
+        # rng.choice calls; the generator's state after them is the same
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
+            10_000, size=pool_size, replace=False))
+        drawn = np.stack(list(attack._probe_indices(pool, size, count, rng)))
+        looped = np.stack([loop_rng.choice(pool, size=size, replace=size > pool_size)
+                           for _ in range(count)])
+        assert drawn.dtype == looped.dtype
+        assert np.array_equal(drawn, looped)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
         assert rng.random() == loop_rng.random()
 
 
@@ -443,10 +464,9 @@ class TestSharedHeldOutForward:
                               network_row_sums(net, aux.xs, aux.ys))
         params = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size,
                                            np.random.default_rng(seed))
-        oracle = network_auxiliary(net, aux, batch_size, batch_size,
-                                   np.random.default_rng(seed))
-        assert np.array_equal(params.impact, oracle.impact)
-        assert np.array_equal(params.offsets, oracle.offsets)
+        impact, offsets = network_auxiliary(net, aux, batch_size, np.random.default_rng(seed))
+        assert params.impact == impact
+        assert params.offsets.tobytes() == offsets.tobytes()
 
 
 class TestEstimatorsLeaveTheModelAlone:
@@ -628,6 +648,25 @@ class TestExtraction:
         g = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="g"))
         offsets = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         impact = data.draw(st.sampled_from([-1e-20, 0.0]) | st.floats(-10, 10), label="impact")
+        params = AttackParams(impact, offsets, d)
+        extracted = llg_extract(last_from_g(g, d), params)
+        assert np.array_equal(extracted.counts, looped_extract(g, params, d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sorted_step_three_matches_the_label_loop(self, data):
+        # |D| up to 1,300, as gamma·B reaches in FedAvg, so that step 3
+        # makes many picks; whole-number entries and impacts force ties,
+        # and tiny impacts leave the entries they are subtracted from as
+        # they were
+        n = data.draw(st.integers(1, 12), label="n")
+        d = data.draw(st.integers(1, 1300), label="d")
+        rounded = data.draw(st.booleans(), label="rounded")
+        values = st.floats(-10, 10).map(round if rounded else float).map(float)
+        g = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="g"))
+        offsets = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        impact = data.draw(st.sampled_from([-1e-20, -1e-17, 0.0, -0.0, 1e-20, -0.5, -1.0, 2.0])
+                           | st.floats(-10, 10) | st.floats(-1e-15, 1e-15), label="impact")
         params = AttackParams(impact, offsets, d)
         extracted = llg_extract(last_from_g(g, d), params)
         assert np.array_equal(extracted.counts, looped_extract(g, params, d))

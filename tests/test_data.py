@@ -58,7 +58,8 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_classes": 1}, {"samples_per_class": 0}, {"samples_per_class": 1},
-        {"cluster_spread": -0.1},
+        {"cluster_spread": -0.1}, {"cluster_spread": float("nan")},
+        {"cluster_spread": float("inf")},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ mechanics with residual carry, and the conservation invariant."""
 
 import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ class TestDefenseSpec:
         with pytest.raises(ValueError, match="'theta' must be float"):
             replace(DefenseSpec("compress", theta=0.8), theta=True)
         assert DefenseSpec("noise", sigma=1).sigma == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        # each field with the kind that reads it, so that only the type
+        # check stands between the value and the run
+        kinds = {"sigma": "noise", "beta": "clip_noise", "theta": "compress"}
+        assert [name for name, hint in get_type_hints(DefenseSpec).items()
+                if hint is float] == list(kinds)
+        for name, kind in kinds.items():
+            match = f"'{name}' must be float, got {value!r} \\(numbers must be finite\\)"
+            with pytest.raises(ValueError, match=match):
+                DefenseSpec.from_dict({"kind": kind, name: value})
+            with pytest.raises(ValueError, match=match):
+                DefenseSpec(kind, **{name: value})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown defense fields"):

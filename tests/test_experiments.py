@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -182,6 +184,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'defenses' must be tuple"):
             ExperimentConfig("defense_sweep", defenses=({"kind": "none"},))
         assert replace(small_config(), trials=5, eta=1).trials == 5
+        # an int too large for a float is still an int, not a non-finite number
+        assert replace(small_config(), master_seed=10**400).master_seed == 10**400
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        # NaN fails no `<` range check, and Python's json reads NaN and
+        # Infinity, so the type check itself asks every float to be finite
+        floats = [name for name, hint in get_type_hints(ExperimentConfig).items()
+                  if hint is float]
+        assert floats == ["cluster_spread", "eta"]
+        for name in floats:
+            match = f"'{name}' must be float, got {value!r} \\(numbers must be finite\\)"
+            with pytest.raises(ValueError, match=match):
+                small_config(**{name: value})
+            with pytest.raises(ValueError, match=match):
+                ExperimentConfig("asr_vs_batchsize", **{name: value})
 
     def test_tuple_fields_given_as_lists_hash_and_compare_as_loaded(self):
         lists = dict(attacks=["llg"], batch_sizes=[4], defenses=[DefenseSpec()])
@@ -482,6 +500,11 @@ class TestCli:
         pytest.param({"input_dim": 0}, "input_dim", id="input_dim-zero"),
         pytest.param({"cluster_spread": -0.1}, "cluster_spread",
                      id="cluster_spread-negative"),
+        pytest.param({"eta": math.nan}, "eta", id="eta-nan"),
+        pytest.param({"eta": math.inf}, "eta", id="eta-inf"),
+        pytest.param({"cluster_spread": math.nan}, "cluster_spread", id="cluster_spread-nan"),
+        pytest.param({"defense": {"kind": "noise", "sigma": -math.inf}}, "sigma",
+                     id="sigma-minus-inf"),
     ])
     def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
         config = write_config(tmp_path, **overrides)
