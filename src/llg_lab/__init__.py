@@ -58,7 +58,6 @@ from .nn import (
     Gradients,
     LastLayerGradient,
     Network,
-    cross_entropy_loss,
     mlp,
     output_gradient,
     small_cnn,

@@ -90,15 +90,14 @@ def _probe_means(n: int, batch_size: int, draw,
                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean rows of every single-label probe, in the order they are drawn:
     IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
-    (offset size, label), shape (S, n, n). draw(label, size, count) gives
-    `count` consecutive probes of that label and size, each its (size, n)
-    rows or, when `rows` is given, the (size,) indices of its rows in that
-    table, gathered once per probe table. Each table takes one mean over the
-    sample axis, which adds every probe's rows in the order its own mean
-    would."""
+    (offset size, label), shape (S, n, n). draw(label, size, count) gives one
+    array of `count` consecutive probes of that label and size: their
+    (count, size, n) rows or, when `rows` is given, the (count, size) indices
+    of their rows in that table. Each table is one concatenation of its
+    draws, gathered once, and takes one mean over the sample axis, which adds
+    every probe's rows in the order its own mean would."""
     def table(probes) -> np.ndarray:
-        drawn = np.stack([probe for label, size, count in probes
-                          for probe in draw(label, size, count)])
+        drawn = np.concatenate([draw(label, size, count) for label, size, count in probes])
         return drawn if rows is None else rows.take(drawn, axis=0)
 
     labels = range(1, n + 1)
@@ -110,16 +109,23 @@ def _probe_means(n: int, batch_size: int, draw,
 
 
 def _probe_indices(pool: np.ndarray, size: int, count: int,
-                   rng: np.random.Generator) -> np.ndarray | list[np.ndarray]:
-    """`count` probes of `size` entries of pool, drawn as `count` calls of
-    rng.choice(pool, size, replace=size > len(pool)) would draw them. With
-    replacement that call gathers one rng.integers draw, and consecutive
-    integers draws chain through the generator's state, so one (count, size)
-    draw gives every probe; without replacement each probe keeps its own
-    call."""
+                   rng: np.random.Generator) -> np.ndarray:
+    """`count` probes of `size` entries of pool as one (count, size) array,
+    drawn with one generator call per table.
+
+    When a probe outgrows its pool (size > len(pool)) it draws with
+    replacement, as rng.choice(pool, size, replace=True) would: that call
+    gathers one rng.integers draw, and consecutive integers draws chain
+    through the generator's state. Otherwise each probe is the first `size`
+    entries of pool sorted by one row of rng.random((count, len(pool))) keys,
+    and that table is `count` consecutive rng.random(len(pool)) draws bit for
+    bit, so it equals one key draw per probe. The sort is numpy's default
+    kind: distinct keys have one order under every sort, and two of ~100
+    53-bit keys tie with a chance of about 5e-13 per probe.
+    """
     if size > len(pool):
         return pool[rng.integers(0, len(pool), (count, size))]
-    return [rng.choice(pool, size=size, replace=False) for _ in range(count)]
+    return pool[np.argsort(rng.random((count, len(pool))), axis=1)[:, :size]]
 
 
 def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
@@ -149,11 +155,11 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     input_dim = int(np.prod(net.input_shape))
 
     if dummy_kind == "uniform_random":
-        def rows_for_label(label: int, size: int, count: int) -> list[np.ndarray]:
+        def rows_for_label(label: int, size: int, count: int) -> np.ndarray:
             # one forward per probe: stacking probes would change the GEMM bits
             forwards = (net.forward(rng.random((size, input_dim))) for _ in range(count))
-            return [gradient_row_sums(logits, cache.penultimate, np.full(size, label))
-                    for logits, cache in forwards]
+            return np.stack([gradient_row_sums(logits, cache.penultimate, np.full(size, label))
+                             for logits, cache in forwards])
 
         return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
     # every sample of a probe is the same input, so the row labelled l is
@@ -183,7 +189,7 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
 
-    def indices_for_label(label: int, size: int, count: int) -> np.ndarray | list[np.ndarray]:
+    def indices_for_label(label: int, size: int, count: int) -> np.ndarray:
         return _probe_indices(aux.class_indices(label), size, count, rng)
 
     return _params(*_probe_means(n, batch_size, indices_for_label, rows), batch_size,

@@ -25,7 +25,6 @@ __all__ = [
     "Gradients",
     "LastLayerGradient",
     "Network",
-    "cross_entropy_loss",
     "mlp",
     "output_gradient",
     "sigmoid",
@@ -492,7 +491,7 @@ def output_gradient(logits: np.ndarray, labels) -> np.ndarray:
     """Per-sample gradient of the batch-mean cross-entropy w.r.t. the logits.
 
     Shape (B, n), or (..., B, n) for (..., B) labels. Its column sums are the
-    aggregate per-class gradient returned by cross_entropy_loss.
+    gradient of the loss w.r.t. each class's summed output score.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2:
@@ -503,27 +502,6 @@ def output_gradient(logits: np.ndarray, labels) -> np.ndarray:
     rows = p.reshape(-1, n)  # a view: softmax returns a fresh array
     rows[np.arange(len(rows)), idx.ravel() - 1] -= 1.0
     return p / batch_size
-
-
-def cross_entropy_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Batch-mean softmax cross-entropy over one-hot labels in [1, n].
-
-    Returns (loss, d) where d[i] = -count(i)/B + mean_k softmax_i(sample k),
-    the gradient of the loss w.r.t. class i's summed output score. d[i] is
-    negative exactly when label i occurs more often than the model currently
-    expects.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"logits must be (B, n), got shape {z.shape}")
-    batch_size, n = z.shape
-    idx = _check_labels(labels, n, (batch_size,))
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(batch_size), idx - 1].mean())
-    counts = np.bincount(idx - 1, minlength=n)
-    d = np.exp(logp).mean(axis=0) - counts / batch_size
-    return loss, d
 
 
 def mlp(input_dim: int, n_classes: int, hidden: int = 64, seed: int = 0,

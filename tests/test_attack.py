@@ -53,6 +53,16 @@ def forward_rows(net, batch, labels):
     return gradient_row_sums(logits, cache.penultimate, labels)
 
 
+def one_probe(pool, size, rng):
+    """One probe of `size` entries of pool, drawn on its own: the per-probe
+    oracle of attack._probe_indices. With replacement it is the rng.choice
+    call the table's one integers draw stands for; without, the first `size`
+    entries of pool sorted by one key per entry."""
+    if size > len(pool):
+        return rng.choice(pool, size=size, replace=True)
+    return pool[np.argsort(rng.random(len(pool)))[:size]]
+
+
 def looped_extract(g, params: AttackParams, target: int) -> np.ndarray:
     """The counts llg_extract gave when its step 1 walked the labels one by
     one and stopped at |D|; kept as the oracle for the masked step 1."""
@@ -213,7 +223,7 @@ def loop_rows_for_label(net, kind, aux, rng):
 
         def rows_for_label(label, size):
             pool = aux.class_indices(label)
-            return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+            return rows[one_probe(pool, size, rng)]
     elif kind == "uniform_random":
         def rows_for_label(label, size):
             return forward_rows(net, rng.random((size, input_dim)), np.full(size, label))
@@ -253,8 +263,8 @@ def network_row_sums(net, batch, labels):
 
 def network_auxiliary(net, aux, batch_size, rng):
     """estimate_params_auxiliary as it was when it took the network and drew
-    its probes one rng.choice at a time: the oracle path of the shared
-    held-out forward, as (impact, offsets)."""
+    its probes one at a time: the oracle path of the shared held-out forward,
+    as (impact, offsets)."""
     n = net.n_classes
     for label in range(1, n + 1):
         if len(aux.class_indices(label)) == 0:
@@ -262,8 +272,7 @@ def network_auxiliary(net, aux, batch_size, rng):
     rows = network_row_sums(net, aux.xs, aux.ys)
 
     def rows_for_label(label, size):
-        pool = aux.class_indices(label)
-        return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+        return rows[one_probe(aux.class_indices(label), size, rng)]
 
     return loop_estimates(n, batch_size, rows_for_label)
 
@@ -311,8 +320,7 @@ class TestProbeRowSums:
                                                rng)
 
             def batch_for_label(label, size):
-                pool = aux.class_indices(label)
-                return aux.xs[reference_rng.choice(pool, size=size, replace=size > len(pool))]
+                return aux.xs[one_probe(aux.class_indices(label), size, reference_rng)]
         else:
             params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
 
@@ -391,8 +399,8 @@ class TestProbeTables:
     @settings(deadline=None, max_examples=60)
     @given(batch_size=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
     def test_one_gather_per_table_equals_a_gather_per_probe(self, world, batch_size, seed):
-        # the oracle makes one rng.choice call per probe, in the estimator's
-        # order, and gathers and averages each probe's rows on its own
+        # the oracle draws one probe at a time, in the estimator's order, and
+        # gathers and averages each probe's rows on its own
         _, aux = world
         rows = np.random.default_rng(seed).normal(size=(len(aux), 10))
         table = rows.view(CountingTakes)
@@ -407,8 +415,7 @@ class TestProbeTables:
         tables = attack._probe_means(10, batch_size, indices_for_label, table)
 
         def probe_mean(label, size):
-            pool = aux.class_indices(label)
-            return rows[loop_rng.choice(pool, size=size, replace=size > len(pool))].mean(axis=0)
+            return rows[one_probe(aux.class_indices(label), size, loop_rng)].mean(axis=0)
 
         labels = range(1, 11)
         looped = (np.array([[probe_mean(label, batch_size) for _ in range(IMPACT_BATCHES)]
@@ -426,19 +433,75 @@ class TestProbeTables:
     @settings(deadline=None, max_examples=300)
     @given(pool_size=st.integers(1, 150), size=st.integers(1, 300), count=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1))
-    def test_one_draw_per_table_equals_a_choice_per_probe(self, pool_size, size, count, seed):
+    def test_one_draw_per_table_equals_a_draw_per_probe(self, pool_size, size, count, seed):
         # with replacement (size > pool) one integers draw stands for count
-        # rng.choice calls; the generator's state after them is the same
+        # rng.choice calls, and without it one (count, pool) key table for
+        # count key rows; the generator's state after them is the same
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
             10_000, size=pool_size, replace=False))
-        drawn = np.stack(list(attack._probe_indices(pool, size, count, rng)))
-        looped = np.stack([loop_rng.choice(pool, size=size, replace=size > pool_size)
-                           for _ in range(count)])
+        drawn = attack._probe_indices(pool, size, count, rng)
+        looped = np.stack([one_probe(pool, size, loop_rng) for _ in range(count)])
+        assert drawn.shape == (count, size)
         assert drawn.dtype == looped.dtype
         assert np.array_equal(drawn, looped)
         assert rng.bit_generator.state == loop_rng.bit_generator.state
         assert rng.random() == loop_rng.random()
+
+    @settings(deadline=None, max_examples=300)
+    @given(pool_size=st.integers(1, 150), data=st.data(), count=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_probe_without_replacement_holds_distinct_pool_entries(self, pool_size, data,
+                                                                     count, seed):
+        size = data.draw(st.integers(1, pool_size))
+        pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
+            10_000, size=pool_size, replace=False))
+        for probe in attack._probe_indices(pool, size, count, np.random.default_rng(seed)):
+            assert len(np.unique(probe)) == size
+            assert np.isin(probe, pool).all()
+
+    def test_every_pool_entry_is_drawn_at_its_expected_rate(self):
+        # each of 2,000 probes takes 10 of 50 entries, so an entry's count is
+        # Binomial(2000, 0.2): 400 expected, standard deviation about 17.9
+        pool = np.arange(1000, 1050) * 3
+        probes, size = 2000, 10
+        drawn = attack._probe_indices(pool, size, probes, np.random.default_rng(20))
+        counts = np.array([np.count_nonzero(drawn == entry) for entry in pool])
+        p = size / len(pool)
+        expected, sd = probes * p, np.sqrt(probes * p * (1 - p))
+        assert counts.sum() == probes * size
+        assert np.all(np.abs(counts - expected) <= 5 * sd)
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 64, 128])
+    def test_an_estimate_makes_one_generator_call_per_table(self, world, batch_size):
+        # 10 impact tables and 3 x 10 single-probe offset tables: 40 calls,
+        # a (count, pool) key table each unless the probe outgrows its pool
+        _, aux = world
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+                return lambda *args: calls.append((name, args)) or method(*args)
+
+        net = mlp(64, 10, seed=44)
+        estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
+                                  Recording(np.random.default_rng(0)))
+
+        def call(label, size, count):
+            pool = len(aux.class_indices(label))
+            if size > pool:
+                return ("integers", (0, pool, (count, size)))
+            return ("random", ((count, pool),))
+
+        labels = range(1, 11)
+        assert calls == ([call(label, batch_size, IMPACT_BATCHES) for label in labels]
+                         + [call(label, size, 1) for size in OFFSET_BATCH_SIZES
+                            for label in labels])
+        assert len(calls) == 40
 
 
 class TestSharedHeldOutForward:

@@ -19,14 +19,32 @@ from llg_lab.nn import (
     Gradients,
     LastLayerGradient,
     Network,
+    _check_labels,
     _patch_index,
-    cross_entropy_loss,
     mlp,
     output_gradient,
     sigmoid,
     small_cnn,
     softmax,
 )
+
+
+def cross_entropy_loss(logits, labels):
+    """Batch-mean softmax cross-entropy over one-hot labels in [1, n].
+
+    Returns (loss, d) where d[i] = -count(i)/B + mean_k softmax_i(sample k),
+    the gradient of the loss w.r.t. class i's summed output score: the
+    oracle of output_gradient's column sums and of finite differences.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    batch_size, n = z.shape
+    idx = _check_labels(labels, n, (batch_size,))
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(batch_size), idx - 1].mean())
+    counts = np.bincount(idx - 1, minlength=n)
+    d = np.exp(logp).mean(axis=0) - counts / batch_size
+    return loss, d
 
 
 def zero_dense(in_dim, out_dim):
