@@ -18,23 +18,18 @@ from .attack import (
 )
 from .data import (
     ClientDataset,
-    CountMismatchError,
-    IdxFormatError,
     SyntheticSpec,
-    TruncatedFileError,
-    WrongMagicError,
-    load_idx,
     partition_clients,
     synth_generate,
 )
 from .defenses import (
-    DefenseSpec,
     add_gaussian_noise,
     apply_defense,
     compress,
     dp_clip_and_noise,
 )
 from .experiments import (
+    DefenseSpec,
     ExperimentConfig,
     ResultRow,
     emit_csv,

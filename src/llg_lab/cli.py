@@ -50,15 +50,9 @@ def main(argv=None) -> int:
         return 2
     try:
         config = experiments.load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if overrides:
-            config = replace(config, **overrides)
+        overrides = {"master_seed": args.seed, "out": args.out, "trials": args.trials}
+        config = replace(config, **{name: value for name, value in overrides.items()
+                                    if value is not None})
 
         total = experiments.task_count(config)
         done = {"n": 0}
@@ -73,7 +67,8 @@ def main(argv=None) -> int:
         if config.out:
             out_dir = Path(config.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            csv_path = out_dir / f"{config.experiment}.csv"
+            # named after the config file: several configs share an experiment
+            csv_path = out_dir / f"{Path(args.config).stem}.csv"
             experiments.emit_csv(rows, csv_path)
             _log(f"wrote {csv_path}")
             print(experiments.format_summary(rows))

@@ -1,32 +1,12 @@
-"""Dataset provisioning: seeded synthetic Gaussian clusters, client
-partitioning, and a loader for the big-endian IDX image/label format."""
+"""Dataset provisioning: seeded synthetic Gaussian clusters and client
+partitioning."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-
-
-class IdxFormatError(ValueError):
-    """Base error for malformed IDX files."""
-
-
-class WrongMagicError(IdxFormatError):
-    pass
-
-
-class TruncatedFileError(IdxFormatError):
-    pass
-
-
-class CountMismatchError(IdxFormatError):
-    pass
 
 
 @dataclass
@@ -164,41 +144,3 @@ def partition_clients(pool: ClientDataset, n_clients: int, samples_per_client: i
         assigned[cid].extend(leftovers.pop() for _ in range(shortfall))
     return [pool.subset(np.array(sorted(shard))) for shard in assigned]
 
-
-def _read_exact(handle, count: int, path) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise TruncatedFileError(
-            f"{path}: expected {count} more bytes, file ended after {len(data)}"
-        )
-    return data
-
-
-def load_idx(images_path, labels_path) -> ClientDataset:
-    """Load an IDX image/label file pair.
-
-    Pixels are scaled to [0, 1]; raw labels 0..n-1 are shifted to 1..n.
-    Raises WrongMagicError, TruncatedFileError, or CountMismatchError on
-    malformed input.
-    """
-    with open(images_path, "rb") as handle:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(handle, 16, images_path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise WrongMagicError(
-                f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        raw = _read_exact(handle, count * rows * cols, images_path)
-    with open(labels_path, "rb") as handle:
-        magic, label_count = struct.unpack(">II", _read_exact(handle, 8, labels_path))
-        if magic != IDX_LABELS_MAGIC:
-            raise WrongMagicError(
-                f"{labels_path}: magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        raw_labels = _read_exact(handle, label_count, labels_path)
-    if count != label_count:
-        raise CountMismatchError(f"{count} images but {label_count} labels")
-    if count == 0:
-        raise IdxFormatError(f"{images_path}: file contains no samples")
-    xs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
-    ys = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64) + 1
-    return ClientDataset(xs, ys, int(ys.max()))

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -33,7 +35,7 @@ from .attack import (
     uniform_params,
 )
 from .data import SyntheticSpec, partition_clients, synth_generate
-from .defenses import DefenseSpec, apply_defense, check_fields, check_types
+from .defenses import apply_defense
 from .fl import (
     BatchSpec,
     VALID_BATCH_SIZES,
@@ -50,6 +52,7 @@ from .nn import Activation, Gradients, mlp, small_cnn
 ATTACKS = ("llg", "llg_star", "llg_plus", "random")
 MODELS = ("mlp", "cnn")
 ALGORITHMS = ("fedsgd", "fedavg")
+DEFENSE_KINDS = ("none", "noise", "clip_noise", "compress")
 
 EXPERIMENTS = {
     "asr_vs_batchsize": "attack success rate per attack and batch size on fresh models",
@@ -76,6 +79,124 @@ def rng_for(*parts: int) -> np.random.Generator:
 
 def seed_of(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def check_fields(cls, raw: dict, what: str) -> None:
+    """Reject a key of raw that names no field of the dataclass cls."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def check_types(obj, what: str) -> None:
+    """Reject a field of the dataclass instance obj whose value is not of
+    the type its class declares. A bool is no number, an int is a float, a
+    float is finite (inf would pass a `>= lo` rule), and a tuple field
+    takes a list or a tuple of its item type."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _conforms(value, hint):
+            declared = hint.__name__ if isinstance(hint, type) else hint
+            finite = not isinstance(value, float) or math.isfinite(value)
+            raise ValueError(f"{what} field {name!r} must be {declared}, got {value!r}"
+                             + ("" if finite else " (numbers must be finite)"))
+
+
+def _conforms(value, hint) -> bool:
+    if hint is int or hint is float:
+        return (isinstance(value, (int, hint)) and not isinstance(value, bool)
+                and (isinstance(value, int) or math.isfinite(value)))
+    if hint is tuple or get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _conforms(item, arg) for arg in get_args(hint)[:1] for item in value)
+    if get_origin(hint) is UnionType:
+        return any(_conforms(value, arg) for arg in get_args(hint))
+    return isinstance(value, hint)
+
+
+def check_rules(obj, rules) -> None:
+    """Check each (rule, message) of obj's table in order. A message names
+    its field and is formatted with obj's fields."""
+    for rule, message in rules:
+        if not rule(obj):
+            raise ValueError(message.format(**vars(obj)))
+
+
+# each rule holds for a valid value and is written so that NaN fails it
+_DEFENSE_RULES = (
+    (lambda d: d.kind in DEFENSE_KINDS,
+     "unknown defense kind {kind!r}; choose from " + str(DEFENSE_KINDS)),
+    (lambda d: d.sigma >= 0, "sigma must be >= 0"),
+    (lambda d: d.kind != "clip_noise" or d.beta > 0, "beta must be positive"),
+    (lambda d: d.kind != "compress" or 0.0 <= d.theta < 1.0, "theta must lie in [0, 1)"),
+)
+
+
+@dataclass(frozen=True)
+class DefenseSpec:
+    """Declarative defense configuration for the experiment runner."""
+
+    kind: str = "none"  # none | noise | clip_noise | compress
+    sigma: float = 0.0
+    beta: float = 1.0
+    theta: float = 0.0
+
+    def __post_init__(self):
+        check_types(self, "defense")
+        check_rules(self, _DEFENSE_RULES)
+
+    @property
+    def draws(self) -> bool:
+        """Whether applying this defense draws from a random stream."""
+        return self.kind in ("noise", "clip_noise")
+
+    def label(self) -> str:
+        if self.kind == "none":
+            return "none"
+        if self.kind == "noise":
+            return f"noise(sigma={self.sigma})"
+        if self.kind == "clip_noise":
+            return f"clip_noise(beta={self.beta},sigma={self.sigma})"
+        return f"compress(theta={self.theta})"
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "DefenseSpec":
+        if not isinstance(raw, dict):
+            raise ValueError(f"defense must be an object, got {type(raw).__name__}")
+        check_fields(cls, raw, "defense")
+        return cls(**raw)
+
+
+_CONFIG_RULES = (
+    (lambda c: c.experiment in EXPERIMENTS,
+     "unknown experiment {experiment!r}; choose from " + str(sorted(EXPERIMENTS))),
+    (lambda c: c.algorithm in ALGORITHMS,
+     "algorithm must be one of " + str(ALGORITHMS) + ", got {algorithm!r}"),
+    (lambda c: c.gamma >= 1, "gamma must be >= 1"),
+    (lambda c: c.model in MODELS, "model must be one of " + str(MODELS) + ", got {model!r}"),
+    (lambda c: len(c.attacks) >= 1, "attacks must name at least one attack"),
+    (lambda c: set(c.attacks) <= set(ATTACKS),
+     "unknown attacks in attacks {attacks}; choose from " + str(ATTACKS)),
+    (lambda c: len(c.batch_sizes) >= 1, "batch_sizes must name at least one batch size"),
+    (lambda c: len(c.defenses) >= 1, "defenses may not be empty; use kind 'none'"),
+    (lambda c: c.trials >= 1, "trials must be >= 1"),
+    (lambda c: c.master_seed >= 0, "master_seed must be >= 0"),
+    (lambda c: c.hidden >= 1, "hidden must be >= 1"),
+    # a negative input_dim is no square either
+    (lambda c: c.model != "cnn" or math.isqrt(max(c.input_dim, 0)) ** 2 == c.input_dim,
+     "the cnn model needs a square input_dim, got {input_dim}"),
+    (lambda c: c.dummy_kind in DUMMY_KINDS, "unknown dummy_kind {dummy_kind!r}"),
+    (lambda c: c.eta > 0, "eta must be positive"),
+    (lambda c: c.rounds >= 1, "rounds must be >= 1"),
+    (lambda c: c.n_clients >= 1, "n_clients must be >= 1"),
+    (lambda c: c.samples_per_client >= 1, "samples_per_client must be >= 1"),
+    (lambda c: 1 <= c.clients_per_round <= c.n_clients,
+     "clients_per_round must be in [1, n_clients]"),
+    (lambda c: c.experiment != "convergence_sweep" or len(c.batch_sizes) == 1,
+     "convergence_sweep needs exactly one batch size in batch_sizes"),
+    (lambda c: c.experiment != "convergence_sweep" or len(c.defenses) == 1,
+     "convergence_sweep supports a single defense in defenses"),
+)
 
 
 @dataclass(frozen=True)
@@ -114,55 +235,12 @@ class ExperimentConfig:
         for name, hint in get_type_hints(type(self)).items():
             if get_origin(hint) is tuple:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not self.attacks:
-            raise ValueError("at least one attack is required")
-        unknown = set(self.attacks) - set(ATTACKS)
-        if unknown:
-            raise ValueError(f"unknown attacks: {sorted(unknown)}; choose from {ATTACKS}")
-        if not self.batch_sizes:
-            raise ValueError("at least one batch size is required")
-        if not self.defenses:
-            raise ValueError("defenses may not be empty; use kind 'none'")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        check_rules(self, _CONFIG_RULES)
         # the specs the run is built from check their own values
         self.data_spec()
         for size in self.batch_sizes:
             BatchSpec(size, self.balance)
         Activation(self.activation)
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
-        if self.model == "cnn":
-            side = int(round(np.sqrt(self.input_dim)))
-            if side * side != self.input_dim:
-                raise ValueError(
-                    f"the cnn model needs a square input_dim, got {self.input_dim}"
-                )
-        if self.dummy_kind not in DUMMY_KINDS:
-            raise ValueError(f"unknown dummy_kind {self.dummy_kind!r}")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.rounds < 1 or self.n_clients < 1 or self.samples_per_client < 1:
-            raise ValueError("rounds, n_clients, and samples_per_client must be >= 1")
-        if not 1 <= self.clients_per_round <= self.n_clients:
-            raise ValueError("clients_per_round must be in [1, n_clients]")
-        if self.experiment == "convergence_sweep":
-            if len(self.batch_sizes) != 1:
-                raise ValueError("convergence_sweep needs exactly one batch size")
-            if len(self.defenses) != 1:
-                raise ValueError("convergence_sweep supports a single defense")
 
     def data_spec(self) -> SyntheticSpec:
         """The run's synthetic dataset, seeded from the master seed."""
@@ -233,7 +311,7 @@ def _build_model(config: ExperimentConfig, seed: int):
     if config.model == "mlp":
         return mlp(config.input_dim, config.n_classes, hidden=config.hidden,
                    seed=seed, activation=config.activation)
-    side = int(round(np.sqrt(config.input_dim)))
+    side = math.isqrt(config.input_dim)
     return small_cnn((side, side), config.n_classes, seed=seed,
                      activation=config.activation)
 

@@ -12,8 +12,8 @@ import numpy as np
 from llg_lab import experiments
 from llg_lab.attack import estimate_params_auxiliary, llg_extract, random_guess
 from llg_lab.data import SyntheticSpec, synth_generate
-from llg_lab.defenses import DefenseSpec, apply_defense
-from llg_lab.experiments import ExperimentConfig, emit_csv, run_experiment
+from llg_lab.defenses import apply_defense
+from llg_lab.experiments import DefenseSpec, ExperimentConfig, emit_csv, run_experiment
 from llg_lab.fl import BatchSpec, local_train_fedavg, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate, pearson

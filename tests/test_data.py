@@ -1,21 +1,10 @@
-"""Dataset tests: synthetic generation determinism and separability,
-client partitioning, and IDX parsing against hand-written fixtures."""
-
-import struct
+"""Dataset tests: synthetic generation determinism and separability, and
+client partitioning."""
 
 import numpy as np
 import pytest
 
-from llg_lab.data import (
-    ClientDataset,
-    CountMismatchError,
-    SyntheticSpec,
-    TruncatedFileError,
-    WrongMagicError,
-    load_idx,
-    partition_clients,
-    synth_generate,
-)
+from llg_lab.data import ClientDataset, SyntheticSpec, partition_clients, synth_generate
 
 
 class TestSynthetic:
@@ -102,61 +91,6 @@ class TestPartition:
             assert client.ys.max() <= client.n_classes
 
 
-def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
-                   truncate_images=False, label_count=None):
-    """Independent fixture writer: raw struct packing, no loader code."""
-    count, rows, cols = pixels.shape
-    images_path = tmp_path / "images-idx3-ubyte"
-    labels_path = tmp_path / "labels-idx1-ubyte"
-    body = struct.pack(">IIII", image_magic, count, rows, cols) + pixels.tobytes()
-    if truncate_images:
-        body = body[:-3]
-    images_path.write_bytes(body)
-    labels_path.write_bytes(
-        struct.pack(">II", label_magic, label_count if label_count is not None else count)
-        + bytes(labels)
-    )
-    return images_path, labels_path
-
-
-class TestIdxLoader:
-    def test_round_trips_hand_written_pixels(self, tmp_path):
-        pixels = np.array([
-            [[0, 51], [102, 153]],
-            [[255, 204], [153, 102]],
-        ], dtype=np.uint8)
-        images, labels = write_idx_pair(tmp_path, pixels, [3, 7])
-        data = load_idx(images, labels)
-        assert data.xs.shape == (2, 4)
-        assert np.array_equal(data.xs * 255.0, pixels.reshape(2, 4).astype(float))
-        assert data.xs.min() >= 0.0 and data.xs.max() <= 1.0
-        assert np.array_equal(data.ys, np.array([4, 8]))  # shifted to 1-based
-
-    def test_wrong_image_magic_rejected(self, tmp_path):
-        pixels = np.zeros((1, 2, 2), dtype=np.uint8)
-        images, labels = write_idx_pair(tmp_path, pixels, [0], image_magic=0x801)
-        with pytest.raises(WrongMagicError, match="magic"):
-            load_idx(images, labels)
-
-    def test_label_file_with_image_magic_rejected(self, tmp_path):
-        pixels = np.zeros((1, 2, 2), dtype=np.uint8)
-        images, labels = write_idx_pair(tmp_path, pixels, [0], label_magic=0x803)
-        with pytest.raises(WrongMagicError, match="magic"):
-            load_idx(images, labels)
-
-    def test_truncated_image_file_rejected(self, tmp_path):
-        pixels = np.zeros((2, 3, 3), dtype=np.uint8)
-        images, labels = write_idx_pair(tmp_path, pixels, [0, 1], truncate_images=True)
-        with pytest.raises(TruncatedFileError, match="expected"):
-            load_idx(images, labels)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        pixels = np.zeros((2, 2, 2), dtype=np.uint8)
-        images, labels = write_idx_pair(tmp_path, pixels, [0, 1, 2], label_count=3)
-        with pytest.raises(CountMismatchError, match="2 images but 3 labels"):
-            load_idx(images, labels)
-
-
 class TestClientDataset:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -180,18 +114,3 @@ class TestClientDataset:
         with pytest.raises(ValueError, match="read-only"):
             present[0] = 3
 
-
-def test_idx_data_feeds_an_image_model(tmp_path):
-    # end-to-end: 28x28 IDX files load and drive the conv model
-    from llg_lab.fl import local_train_fedsgd
-    from llg_lab.nn import small_cnn
-    rng = np.random.default_rng(9)
-    pixels = rng.integers(0, 256, size=(12, 28, 28)).astype(np.uint8)
-    labels = list(rng.integers(0, 10, size=12))
-    labels[0], labels[1] = 9, 0  # force the full label range
-    images_path, labels_path = write_idx_pair(tmp_path, pixels, labels)
-    data = load_idx(images_path, labels_path)
-    assert data.n_classes == 10
-    net = small_cnn((28, 28), data.n_classes, seed=1)
-    update = local_train_fedsgd(net, data.xs[:8], data.ys[:8])
-    assert update.last_layer().matrix.shape == (10, 8 * 24 * 24)

@@ -10,12 +10,14 @@ from pathlib import Path
 from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llg_lab import attack, cli, experiments, nn
-from llg_lab.defenses import DefenseSpec
 from llg_lab.experiments import (
     ATTACKS,
     CSV_HEADER,
+    DefenseSpec,
     ExperimentConfig,
     emit_csv,
     format_summary,
@@ -73,6 +75,73 @@ def held_out_counts(monkeypatch, config):
                         lambda *args: counts.update(["row_sums"]) or row_sums(*args))
     run_experiment(config)
     return counts
+
+
+# out-of-range values of every numeric field, written from README's config
+# reference; the largest negative float stands in for "below 0"
+BELOW_ZERO = st.floats(max_value=-math.ulp(0.0))
+CONFIG_OUT_OF_RANGE = {
+    "gamma": st.integers(max_value=0),
+    "trials": st.integers(max_value=0),
+    "master_seed": st.integers(max_value=-1),
+    "n_classes": st.integers(max_value=1),
+    "input_dim": st.integers(max_value=0),
+    "samples_per_class": st.integers(max_value=1),
+    "cluster_spread": BELOW_ZERO,
+    "hidden": st.integers(max_value=0),
+    "eta": st.floats(max_value=0.0),
+    "rounds": st.integers(max_value=0),
+    "n_clients": st.integers(max_value=0),
+    # the default n_clients is 50
+    "clients_per_round": st.integers(max_value=0) | st.integers(min_value=51),
+    "samples_per_client": st.integers(max_value=0),
+}
+# each defense field with the kind whose rule reads it
+DEFENSE_OUT_OF_RANGE = {
+    "sigma": ("noise", BELOW_ZERO),
+    "beta": ("clip_noise", st.floats(max_value=0.0)),
+    "theta": ("compress", BELOW_ZERO | st.floats(min_value=1.0)),
+}
+
+
+def numeric_fields(cls):
+    return {name for name, hint in get_type_hints(cls).items() if hint in (int, float)}
+
+
+class TestRangeRules:
+    def test_every_numeric_field_has_an_out_of_range_case(self):
+        assert numeric_fields(ExperimentConfig) == set(CONFIG_OUT_OF_RANGE)
+        assert numeric_fields(DefenseSpec) == set(DEFENSE_OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_OUT_OF_RANGE))
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_out_of_range_config_value_rejected_naming_its_field(self, field, data):
+        value = data.draw(CONFIG_OUT_OF_RANGE[field])
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({"experiment": "asr_vs_batchsize", field: value})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig("asr_vs_batchsize", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            replace(ExperimentConfig("asr_vs_batchsize"), **{field: value})
+
+    @pytest.mark.parametrize("field", sorted(DEFENSE_OUT_OF_RANGE))
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_out_of_range_defense_value_rejected_naming_its_field(self, field, data):
+        kind, values = DEFENSE_OUT_OF_RANGE[field]
+        value = data.draw(values)
+        with pytest.raises(ValueError, match=field):
+            DefenseSpec.from_dict({"kind": kind, field: value})
+        with pytest.raises(ValueError, match=field):
+            DefenseSpec(kind, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            replace(DefenseSpec(kind), **{field: value})
+
+    @pytest.mark.parametrize("field", ["attacks", "batch_sizes", "defenses"])
+    def test_empty_tuple_field_rejected_naming_it(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: []})
 
 
 class TestConfigValidation:
@@ -419,7 +488,7 @@ class TestCsvContract:
         assert "llg" in summary and "random" in summary
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, name="config.json", **overrides):
     raw = dict(
         experiment="asr_vs_batchsize",
         attacks=["llg", "random"],
@@ -429,7 +498,7 @@ def write_config(tmp_path, **overrides):
         samples_per_class=40,
     )
     raw.update(overrides)
-    path = tmp_path / "config.json"
+    path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
 
@@ -446,11 +515,26 @@ class TestCli:
         config = write_config(tmp_path)
         out_dir = tmp_path / "results"
         assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
-        csv_path = out_dir / "asr_vs_batchsize.csv"
+        csv_path = out_dir / "config.csv"
         assert csv_path.exists()
         assert len(read_csv(csv_path)) == 4
         captured = capsys.readouterr()
         assert "mean" in captured.out  # summary table on stdout
+
+    def test_configs_sharing_an_experiment_write_one_csv_each(self, tmp_path):
+        # the CSV is named after the config file, not after its experiment
+        out_dir = tmp_path / "results"
+        arms = {"noise": {"kind": "noise", "sigma": 0.1},
+                "compression": {"kind": "compress", "theta": 0.8}}
+        for name, defense in arms.items():
+            config = write_config(tmp_path, name=f"{name}.json", experiment="defense_sweep",
+                                  defense=defense, trials=1)
+            assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == \
+            ["compression.csv", "noise.csv"]
+        for name, defense in arms.items():
+            label = DefenseSpec.from_dict(defense).label()
+            assert {row.defense for row in read_csv(out_dir / f"{name}.csv")} == {label}
 
     def test_run_streams_csv_to_stdout_without_out(self, tmp_path, capsys):
         config = write_config(tmp_path, trials=1, attacks=["llg"])
@@ -465,7 +549,7 @@ class TestCli:
         for name in ("r1", "r2"):
             out_dir = tmp_path / name
             assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
-            outs.append((out_dir / "asr_vs_batchsize.csv").read_bytes())
+            outs.append((out_dir / "config.csv").read_bytes())
         assert outs[0] == outs[1]
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -473,14 +557,14 @@ class TestCli:
         d1, d2 = tmp_path / "s1", tmp_path / "s2"
         cli.main(["run", "--config", str(config), "--out", str(d1), "--seed", "9"])
         cli.main(["run", "--config", str(config), "--out", str(d2), "--seed", "10"])
-        assert (d1 / "asr_vs_batchsize.csv").read_bytes() != \
-            (d2 / "asr_vs_batchsize.csv").read_bytes()
+        assert (d1 / "config.csv").read_bytes() != \
+            (d2 / "config.csv").read_bytes()
 
     def test_trials_override(self, tmp_path):
         config = write_config(tmp_path)
         out_dir = tmp_path / "results"
         cli.main(["run", "--config", str(config), "--out", str(out_dir), "--trials", "1"])
-        assert len(read_csv(out_dir / "asr_vs_batchsize.csv")) == 2
+        assert len(read_csv(out_dir / "config.csv")) == 2
 
     @pytest.mark.parametrize("overrides, field", [
         pytest.param({"experiment": "nope"}, "experiment", id="unknown-experiment"),
@@ -505,6 +589,8 @@ class TestCli:
         pytest.param({"cluster_spread": math.nan}, "cluster_spread", id="cluster_spread-nan"),
         pytest.param({"defense": {"kind": "noise", "sigma": -math.inf}}, "sigma",
                      id="sigma-minus-inf"),
+        pytest.param({"gamma": 0}, "gamma", id="gamma-zero"),
+        pytest.param({"defense": {"kind": "compress", "theta": 1.0}}, "theta", id="theta-one"),
     ])
     def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
         config = write_config(tmp_path, **overrides)
