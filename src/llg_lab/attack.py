@@ -16,6 +16,7 @@ gradients only ("llg"), a white-box model copy probed with dummy inputs
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,58 +87,73 @@ def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np
     return rows
 
 
-def _probe_means(n: int, batch_size: int, draw,
-                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean rows of every single-label probe, in the order they are drawn:
-    IMPACT_BATCHES probes of size B per label, shape (n, T, n), then one per
-    (offset size, label), shape (S, n, n). draw(label, size, count) gives one
-    array of `count` consecutive probes of that label and size: their
-    (count, size, n) rows or, when `rows` is given, the (count, size) indices
-    of their rows in that table. Each table is one concatenation of its
-    draws, gathered once, and takes one mean over the sample axis, which adds
-    every probe's rows in the order its own mean would."""
-    def table(probes) -> np.ndarray:
-        drawn = np.concatenate([draw(label, size, count) for label, size, count in probes])
-        return drawn if rows is None else rows.take(drawn, axis=0)
-
+def _probe_tables(n: int, batch_size: int) -> list[tuple[int, int, int]]:
+    """(label, size, count) of every probe table, in the order they are
+    drawn: IMPACT_BATCHES probes of size B per label, then one probe per
+    (offset size, label)."""
     labels = range(1, n + 1)
-    impact = table((label, batch_size, IMPACT_BATCHES) for label in labels)
-    impact = impact.reshape(n, IMPACT_BATCHES, batch_size, n).mean(axis=2)
-    offsets = np.stack([table((label, size, 1) for label in labels).mean(axis=1)
-                        for size in OFFSET_BATCH_SIZES])
-    return impact, offsets
+    return ([(label, batch_size, IMPACT_BATCHES) for label in labels]
+            + [(label, size, 1) for size in OFFSET_BATCH_SIZES for label in labels])
 
 
-def _probe_indices(pool: np.ndarray, size: int, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """`count` probes of `size` entries of pool as one (count, size) array,
-    drawn with one generator call per table.
+def _probe_means(own: np.ndarray, offset_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, T) own-label means of the impact probes, from their own-label
+    entries as a (B, n, T) array, and the (S, n, n) means of the offset
+    probes, from their (n, size, n) rows per offset size. Along axis 0 of a
+    C-contiguous array numpy adds sample by sample, the order in which each
+    probe's own mean over its (B, n) rows adds them; in another layout it
+    may sum pairwise, which moves the last bit."""
+    impact = np.add.reduce(np.ascontiguousarray(own), axis=0) / len(own)
+    return impact, np.stack([rows.mean(axis=1) for rows in offset_rows])
+
+
+def _probe_indices(pools, tables, rng: np.random.Generator) -> list[np.ndarray]:
+    """The (count, size) index table of each (label, size, count) probe table
+    in tables, drawn from pools[label - 1] in that order, with one generator
+    call per run of consecutive tables that draw alike: from pools of one
+    length, and either all without replacement or all with replacement at
+    one size.
 
     When a probe outgrows its pool (size > len(pool)) it draws with
     replacement, as rng.choice(pool, size, replace=True) would: that call
-    gathers one rng.integers draw, and consecutive integers draws chain
-    through the generator's state. Otherwise each probe is the first `size`
-    entries of pool sorted by one row of rng.random((count, len(pool))) keys,
-    and that table is `count` consecutive rng.random(len(pool)) draws bit for
-    bit, so it equals one key draw per probe. The sort is numpy's default
-    kind: distinct keys have one order under every sort, and two of ~100
-    53-bit keys tie with a chance of about 5e-13 per probe.
+    gathers one rng.integers draw, and consecutive integers draws with one
+    bound chain through the generator's state, so a run of such tables is
+    one (Σcount, size) draw. Otherwise each probe is the first `size`
+    entries of its pool sorted by one row of rng.random((count, len(pool)))
+    keys; consecutive key rows chain the same way, so a run is one key table
+    and one sort, and each row equals one key draw per probe. The sort is
+    numpy's default kind: distinct keys have one order under every sort, and
+    two of ~100 53-bit keys tie with a chance of about 5e-13 per probe.
     """
-    if size > len(pool):
-        return pool[rng.integers(0, len(pool), (count, size))]
-    return pool[np.argsort(rng.random((count, len(pool))), axis=1)[:, :size]]
+    def draws_alike(table) -> tuple[int, int]:
+        label, size, _ = table
+        length = len(pools[label - 1])
+        return length, size if size > length else 0
+
+    drawn = []
+    for (length, replace_size), run in itertools.groupby(tables, key=draws_alike):
+        run = list(run)
+        probes = sum(count for _, _, count in run)
+        if replace_size:
+            run_draws = rng.integers(0, length, (probes, replace_size))
+        else:
+            run_draws = np.argsort(rng.random((probes, length)), axis=1)
+        at = 0
+        for label, size, count in run:
+            drawn.append(pools[label - 1].take(run_draws[at:at + count, :size]))
+            at += count
+    return drawn
 
 
 def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
             sample_count: int) -> AttackParams:
     """A probe of B samples labelled i moves g[i] by about B impacts, so the
-    impact sums each label's own entry, averaged over its probes, times
-    (1 + 1/n)/(n·B). A probe of label j shows the offset of every class
-    i != j: the own-label entries are zeroed and the rest summed in probe
-    order, over S·(n − 1)."""
+    impact sums each label's own-entry means, (n, T), averaged over its
+    probes, times (1 + 1/n)/(n·B). A probe of label j shows the offset of
+    every class i != j: the own-label entries of the (S, n, n) offset means
+    are zeroed and the rest summed in probe order, over S·(n − 1)."""
     n = offset_means.shape[-1]
-    own = np.arange(n)
-    gbar = impact_means[own, :, own].mean(axis=1)
+    gbar = impact_means.mean(axis=1)
     impact = float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
     off_label = np.where(np.eye(n, dtype=bool), 0.0, offset_means)
     offsets = off_label.reshape(-1, n).sum(axis=0) / (len(offset_means) * (n - 1))
@@ -150,24 +166,29 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     """Estimate impact and offsets by probing the model with dummy data."""
     if dummy_kind not in DUMMY_KINDS:
         raise ValueError(f"unknown dummy kind {dummy_kind!r}; use one of {DUMMY_KINDS}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     n = net.n_classes
     input_dim = int(np.prod(net.input_shape))
 
     if dummy_kind == "uniform_random":
+        rng = rng if rng is not None else np.random.default_rng(0)
+
         def rows_for_label(label: int, size: int, count: int) -> np.ndarray:
             # one forward per probe: stacking probes would change the GEMM bits
             forwards = (net.forward(rng.random((size, input_dim))) for _ in range(count))
             return np.stack([gradient_row_sums(logits, cache.penultimate, np.full(size, label))
                              for logits, cache in forwards])
 
-        return _params(*_probe_means(n, batch_size, rows_for_label), batch_size, sample_count)
+        tables = [rows_for_label(*table) for table in _probe_tables(n, batch_size)]
+        own = np.stack([table[..., label] for label, table in enumerate(tables[:n])])
+        offsets = [np.concatenate(tables[k:k + n]) for k in range(n, len(tables), n)]
+        return _params(*_probe_means(own.transpose(2, 0, 1), offsets), batch_size,
+                       sample_count)
     # every sample of a probe is the same input, so the row labelled l is
     # the mean of every probe of label l, whatever its size
     fill = 0.0 if dummy_kind == "zeros" else 1.0
     logits, cache = net.forward(np.full((n, input_dim), fill))
     rows = gradient_row_sums(logits, cache.penultimate, np.arange(1, n + 1))
-    return _params(np.broadcast_to(rows[:, None], (n, IMPACT_BATCHES, n)),
+    return _params(np.repeat(rows.diagonal()[:, None], IMPACT_BATCHES, axis=1),
                    np.broadcast_to(rows, (len(OFFSET_BATCH_SIZES), n, n)),
                    batch_size, sample_count)
 
@@ -188,12 +209,14 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
         if len(aux.class_indices(label)) == 0:
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
-
-    def indices_for_label(label: int, size: int, count: int) -> np.ndarray:
-        return _probe_indices(aux.class_indices(label), size, count, rng)
-
-    return _params(*_probe_means(n, batch_size, indices_for_label, rows), batch_size,
-                   sample_count)
+    pools = [aux.class_indices(label) for label in range(1, n + 1)]
+    tables = _probe_indices(pools, _probe_tables(n, batch_size), rng)
+    # an impact probe reads only its own label's entries: entry k·n + l − 1
+    # of the flat row table, gathered as a (B, n, T) array
+    own = rows.take((np.stack(tables[:n]) * n + np.arange(n)[:, None, None]).transpose(2, 0, 1))
+    offsets = [rows.take(np.concatenate(tables[k:k + n]), axis=0)
+               for k in range(n, len(tables), n)]
+    return _params(*_probe_means(own, offsets), batch_size, sample_count)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:

@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 def add_gaussian_noise(grads: Gradients, sigma: float,
                        rng: np.random.Generator) -> Gradients:
     """Independent N(0, sigma^2) noise on every gradient entry."""
-    if sigma < 0:
+    # written so that NaN fails, as DefenseSpec's rules are
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     return _noised(grads.copy(), sigma, rng)
 
@@ -28,9 +29,9 @@ def dp_clip_and_noise(grads: Gradients, beta: float, sigma: float,
                       rng: np.random.Generator) -> Gradients:
     """Scale the whole gradient by 1/max(1, ||grad||_2 / beta), then add
     Gaussian noise of standard deviation sigma."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("clipping bound beta must be positive")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     return _noised(grads.scaled(1.0 / max(1.0, grads.l2_norm() / beta)), sigma, rng)
 

@@ -73,12 +73,27 @@ _STREAM_ATTACK = 14
 _STREAM_SELECT = 15
 
 
+def _seed_words(parts) -> np.ndarray:
+    """The uint32 words SeedSequence(list(parts)) reads: each part's
+    little-endian 32-bit words, one word for 0. A uint32 array gives the
+    same sequence and spares numpy an array per part."""
+    words = []
+    for part in parts:
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        while part >= 2**32:
+            part >>= 32
+            words.append(part & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def rng_for(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(parts)))
+    return np.random.default_rng(np.random.SeedSequence(_seed_words(parts)))
 
 
 def seed_of(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+    return int(np.random.SeedSequence(_seed_words(parts)).generate_state(1)[0])
 
 
 def check_fields(cls, raw: dict, what: str) -> None:
@@ -332,13 +347,16 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
     multiset, or None for llg, whose estimate reads the shared gradient.
     One forward pass over the held-out set gives the accuracy and llg_plus's
     rows. calibration_plot has the one llg_plus guess. Attack a draws from
-    rng_for(master, kind, *rng_key, _STREAM_ATTACK, a)."""
+    rng_for(master, kind, *rng_key, _STREAM_ATTACK, a), built only for the
+    attacks that draw: llg and llg_star's zeros and ones dummies do not."""
     logits, cache = net.forward(test.xs)
     calibration = config.experiment == "calibration_plot"
     guesses = []
     for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
-        rng = rng_for(config.master_seed, KIND_INDEX[config.experiment], *rng_key,
-                      _STREAM_ATTACK, a_idx)
+        draws = attack in ("random", "llg_plus") or (
+            attack == "llg_star" and config.dummy_kind == "uniform_random")
+        rng = (rng_for(config.master_seed, KIND_INDEX[config.experiment], *rng_key,
+                       _STREAM_ATTACK, a_idx) if draws else None)
         if attack == "llg":
             guess = None
         elif attack == "random":

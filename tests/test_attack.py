@@ -395,38 +395,56 @@ class CountingTakes(np.ndarray):
         return super().take(*args, **kwargs).view(np.ndarray)
 
 
+class Recording:
+    """A generator that records the name and arguments of every call."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+        return lambda *args: self.calls.append((name, args)) or method(*args)
+
+
+def draw_table(pool, size, count, rng):
+    """One (count, size) probe table of pool on its own."""
+    return attack._probe_indices([pool], [(1, size, count)], rng)[0]
+
+
 class TestProbeTables:
     @settings(deadline=None, max_examples=60)
     @given(batch_size=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
     def test_one_gather_per_table_equals_a_gather_per_probe(self, world, batch_size, seed):
         # the oracle draws one probe at a time, in the estimator's order, and
-        # gathers and averages each probe's rows on its own
+        # gathers and averages each probe's rows on its own; the estimator
+        # gathers the impact probes' own-label entries once and each offset
+        # size's rows once
         _, aux = world
         rows = np.random.default_rng(seed).normal(size=(len(aux), 10))
         table = rows.view(CountingTakes)
         table.takes = []
-        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = []
-
-        def indices_for_label(label, size, count):
-            draws.append((label, size, count))
-            return attack._probe_indices(aux.class_indices(label), size, count, rng)
-
-        tables = attack._probe_means(10, batch_size, indices_for_label, table)
+        means = []
+        real_means = attack._probe_means
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(attack, "gradient_row_sums", lambda *args: table)
+            patched.setattr(attack, "_probe_means",
+                            lambda *args: means.append(real_means(*args)) or means[-1])
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            estimate_params_auxiliary(np.zeros((len(aux), 10)), np.zeros((len(aux), 4)), aux,
+                                      batch_size, batch_size, rng)
 
         def probe_mean(label, size):
             return rows[one_probe(aux.class_indices(label), size, loop_rng)].mean(axis=0)
 
         labels = range(1, 11)
-        looped = (np.array([[probe_mean(label, batch_size) for _ in range(IMPACT_BATCHES)]
-                            for label in labels]),
+        looped = (np.array([[probe_mean(label, batch_size)[label - 1]
+                             for _ in range(IMPACT_BATCHES)] for label in labels]),
                   np.array([[probe_mean(label, size) for label in labels]
                             for size in OFFSET_BATCH_SIZES]))
-        for got, expected in zip(tables, looped, strict=True):
+        for got, expected in zip(means[0], looped, strict=True):
             assert type(got) is np.ndarray
+            assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-        assert draws == ([(label, batch_size, IMPACT_BATCHES) for label in labels]
-                         + [(label, size, 1) for size in OFFSET_BATCH_SIZES for label in labels])
         assert len(table.takes) == 1 + len(OFFSET_BATCH_SIZES)
         assert rng.random() == loop_rng.random()
 
@@ -440,13 +458,47 @@ class TestProbeTables:
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
             10_000, size=pool_size, replace=False))
-        drawn = attack._probe_indices(pool, size, count, rng)
+        drawn = draw_table(pool, size, count, rng)
         looped = np.stack([one_probe(pool, size, loop_rng) for _ in range(count)])
         assert drawn.shape == (count, size)
         assert drawn.dtype == looped.dtype
         assert np.array_equal(drawn, looped)
         assert rng.bit_generator.state == loop_rng.bit_generator.state
         assert rng.random() == loop_rng.random()
+
+    @settings(deadline=None, max_examples=300)
+    @given(lengths=st.lists(st.one_of(st.sampled_from([3, 100]), st.integers(1, 150)),
+                            min_size=1, max_size=4),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_a_draw_per_run_equals_a_draw_per_table(self, lengths, data, seed):
+        # pools of unequal lengths, probes with and without replacement: one
+        # call per run of tables that draw alike gives every table's indices
+        # and leaves the generator where one call per table would
+        pools = [np.sort(np.random.default_rng([seed, k]).choice(10_000, size=length,
+                                                                 replace=False))
+                 for k, length in enumerate(lengths)]
+        tables = data.draw(st.lists(
+            st.tuples(st.integers(1, len(pools)),
+                      st.one_of(st.sampled_from([2, 8, 32, 128]), st.integers(1, 300)),
+                      st.integers(1, 12)),
+            min_size=1, max_size=12))
+        calls = []
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = attack._probe_indices(pools, tables, Recording(rng, calls))
+        assert len(drawn) == len(tables)
+        for got, (label, size, count) in zip(drawn, tables):
+            looped = np.stack([one_probe(pools[label - 1], size, loop_rng)
+                               for _ in range(count)])
+            assert got.dtype == looped.dtype
+            assert np.array_equal(got, looped)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+        def draws_alike(table):
+            length = len(pools[table[0] - 1])
+            return length, table[1] if table[1] > length else 0
+
+        runs = 1 + sum(draws_alike(a) != draws_alike(b) for a, b in zip(tables, tables[1:]))
+        assert len(calls) == runs
 
     @settings(deadline=None, max_examples=300)
     @given(pool_size=st.integers(1, 150), data=st.data(), count=st.integers(1, 12),
@@ -456,7 +508,7 @@ class TestProbeTables:
         size = data.draw(st.integers(1, pool_size))
         pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
             10_000, size=pool_size, replace=False))
-        for probe in attack._probe_indices(pool, size, count, np.random.default_rng(seed)):
+        for probe in draw_table(pool, size, count, np.random.default_rng(seed)):
             assert len(np.unique(probe)) == size
             assert np.isin(probe, pool).all()
 
@@ -465,7 +517,7 @@ class TestProbeTables:
         # Binomial(2000, 0.2): 400 expected, standard deviation about 17.9
         pool = np.arange(1000, 1050) * 3
         probes, size = 2000, 10
-        drawn = attack._probe_indices(pool, size, probes, np.random.default_rng(20))
+        drawn = draw_table(pool, size, probes, np.random.default_rng(20))
         counts = np.array([np.count_nonzero(drawn == entry) for entry in pool])
         p = size / len(pool)
         expected, sd = probes * p, np.sqrt(probes * p * (1 - p))
@@ -474,34 +526,22 @@ class TestProbeTables:
 
     @pytest.mark.parametrize("batch_size", [1, 8, 64, 128])
     def test_an_estimate_makes_one_generator_call_per_table(self, world, batch_size):
-        # 10 impact tables and 3 x 10 single-probe offset tables: 40 calls,
-        # a (count, pool) key table each unless the probe outgrows its pool
+        # 10 impact tables and 3 x 10 single-probe offset tables, and every
+        # class pool of the held-out set holds 100 samples: the tables that
+        # sort keys share one (130, 100) key draw; at B = 128 the impact
+        # probes outgrow their pools and share one integers draw, and the
+        # offset tables one (30, 100) key draw
         _, aux = world
+        assert {len(aux.class_indices(label)) for label in range(1, 11)} == {100}
         calls = []
-
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                method = getattr(self.rng, name)
-                return lambda *args: calls.append((name, args)) or method(*args)
-
         net = mlp(64, 10, seed=44)
         estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
-                                  Recording(np.random.default_rng(0)))
-
-        def call(label, size, count):
-            pool = len(aux.class_indices(label))
-            if size > pool:
-                return ("integers", (0, pool, (count, size)))
-            return ("random", ((count, pool),))
-
-        labels = range(1, 11)
-        assert calls == ([call(label, batch_size, IMPACT_BATCHES) for label in labels]
-                         + [call(label, size, 1) for size in OFFSET_BATCH_SIZES
-                            for label in labels])
-        assert len(calls) == 40
+                                  Recording(np.random.default_rng(0), calls))
+        if batch_size <= 100:
+            assert calls == [("random", ((130, 100),))]
+        else:
+            assert calls == [("integers", (0, 100, (100, batch_size))),
+                             ("random", ((30, 100),))]
 
 
 class TestSharedHeldOutForward:

@@ -72,6 +72,12 @@ class TestGaussianNoise:
         with pytest.raises(ValueError, match=">= 0"):
             add_gaussian_noise(Gradients.zeros_for(net), -0.1, np.random.default_rng(0))
 
+    def test_nan_sigma_rejected(self):
+        # a NaN sigma would otherwise add no noise, silently
+        net = mlp(8, 3, seed=0)
+        with pytest.raises(ValueError, match=">= 0"):
+            add_gaussian_noise(Gradients.zeros_for(net), math.nan, np.random.default_rng(0))
+
     def test_does_not_mutate_the_input(self):
         net = mlp(8, 3, seed=0)
         grads = random_grads(net, np.random.default_rng(4))
@@ -111,6 +117,19 @@ class TestClipAndNoise:
         net = mlp(8, 3, seed=4)
         with pytest.raises(ValueError, match="positive"):
             dp_clip_and_noise(Gradients.zeros_for(net), 0.0, 0.1, np.random.default_rng(0))
+
+    def test_nan_beta_rejected(self):
+        # max(1.0, norm / nan) is 1.0, so a NaN beta would return the
+        # gradient unclipped
+        net = mlp(8, 3, seed=4)
+        grads = random_grads(net, np.random.default_rng(11))
+        with pytest.raises(ValueError, match="positive"):
+            dp_clip_and_noise(grads, math.nan, 0.0, np.random.default_rng(0))
+
+    def test_nan_sigma_rejected(self):
+        net = mlp(8, 3, seed=4)
+        with pytest.raises(ValueError, match=">= 0"):
+            dp_clip_and_noise(Gradients.zeros_for(net), 1.0, math.nan, np.random.default_rng(0))
 
 
 class TestCompression:

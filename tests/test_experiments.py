@@ -415,6 +415,26 @@ class TestRunExperiment:
         assert experiments._STREAM_DEFENSE > rounds.rounds
         assert streams(rounds) == (3 * 2 if draws else 0)
 
+    @pytest.mark.parametrize("dummy_kind, drawing", [
+        ("zeros", ("llg_plus", "random")),
+        ("ones", ("llg_plus", "random")),
+        ("uniform_random", ("llg_star", "llg_plus", "random")),
+    ])
+    def test_attack_stream_built_only_for_attacks_that_draw(self, monkeypatch, dummy_kind,
+                                                            drawing):
+        # an attack's stream is keyed by its own index, so building none for
+        # llg and for llg_star's fixed dummies moves no other stream
+        built = []
+        rng_for = experiments.rng_for
+        monkeypatch.setattr(experiments, "rng_for",
+                            lambda *parts: built.append(parts) or rng_for(*parts))
+        config = small_config(attacks=ATTACKS, batch_sizes=(2, 8), dummy_kind=dummy_kind)
+        rows = run_experiment(config)
+        streams = [parts[-1] for parts in built if parts[-2] == experiments._STREAM_ATTACK]
+        cells = 2 * 2
+        assert streams == [ATTACKS.index(attack) for attack in drawing] * cells
+        assert len(rows) == cells * len(ATTACKS)
+
     def test_one_held_out_forward_per_defense_sweep_cell(self, monkeypatch):
         # the accuracy and the llg_plus row sums read one forward pass
         counts = held_out_counts(monkeypatch, defense_sweep(SWEEP_ARMS))

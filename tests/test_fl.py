@@ -3,7 +3,7 @@ weighted aggregation, and the FedAvg(gamma=1) == FedSGD identity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llg_lab import experiments
@@ -382,6 +382,25 @@ class TestOrchestration:
         c = rng_for(7, 2, 3).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @settings(deadline=None, max_examples=200)
+    @given(parts=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
+                                    st.integers(0, 2**70 - 1)), min_size=1, max_size=8))
+    @example(parts=[0, 2**32 - 1, 2**32])
+    def test_seed_words_give_the_streams_of_the_list_form(self, parts):
+        # rng_for and seed_of seed from a uint32 array of the parts' words;
+        # numpy's SeedSequence(list(parts)) must read the same words
+        listed = np.random.SeedSequence(list(parts))
+        words = np.random.SeedSequence(experiments._seed_words(parts))
+        assert np.array_equal(words.generate_state(4), listed.generate_state(4))
+        assert (rng_for(*parts).random(3).tobytes()
+                == np.random.default_rng(listed).random(3).tobytes())
+        assert experiments.seed_of(*parts) == int(listed.generate_state(1)[0])
+
+    def test_a_negative_seed_part_rejected(self):
+        # as SeedSequence([7, -1]) is; its low word would alias 2**32 - 1
+        with pytest.raises(ValueError, match="non-negative"):
+            rng_for(7, -1)
 
     def test_two_hundred_rounds_beat_the_random_baseline(self):
         # training sanity: federated SGD on the synthetic task must clear 1/n
