@@ -35,7 +35,6 @@ from .experiments import (
     emit_csv,
     format_summary,
     load_config,
-    read_csv,
     run_experiment,
 )
 from .fl import (

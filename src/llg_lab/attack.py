@@ -170,7 +170,8 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     input_dim = int(np.prod(net.input_shape))
 
     if dummy_kind == "uniform_random":
-        rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            raise ValueError("uniform_random dummies need a random generator")
 
         def rows_for_label(label: int, size: int, count: int) -> np.ndarray:
             # one forward per probe: stacking probes would change the GEMM bits

@@ -50,9 +50,13 @@ def main(argv=None) -> int:
         return 2
     try:
         config = experiments.load_config(args.config)
-        overrides = {"master_seed": args.seed, "out": args.out, "trials": args.trials}
+        overrides = {"master_seed": args.seed, "trials": args.trials}
         config = replace(config, **{name: value for name, value in overrides.items()
                                     if value is not None})
+        if args.out:
+            # made before the run, so that a bad --out fails before any work
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
 
         total = experiments.task_count(config)
         done = {"n": 0}
@@ -64,9 +68,7 @@ def main(argv=None) -> int:
                 _log(f"progress: {done['n']}/{total}")
 
         rows = experiments.run_experiment(config, progress=progress)
-        if config.out:
-            out_dir = Path(config.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        if args.out:
             # named after the config file: several configs share an experiment
             csv_path = out_dir / f"{Path(args.config).stem}.csv"
             experiments.emit_csv(rows, csv_path)

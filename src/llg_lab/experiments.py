@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -74,18 +73,13 @@ _STREAM_SELECT = 15
 
 
 def _seed_words(parts) -> np.ndarray:
-    """The uint32 words SeedSequence(list(parts)) reads: each part's
-    little-endian 32-bit words, one word for 0. A uint32 array gives the
-    same sequence and spares numpy an array per part."""
-    words = []
+    """The uint32 words SeedSequence(list(parts)) reads. Every part is one
+    32-bit word (the master seed is bounded to make it so), and a uint32
+    array gives the same sequence and spares numpy an array per part."""
     for part in parts:
-        if part < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(part & 0xFFFFFFFF)
-        while part >= 2**32:
-            part >>= 32
-            words.append(part & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
+        if not 0 <= part < 2**32:
+            raise ValueError(f"expected non-negative integer below 2**32, got {part}")
+    return np.array(parts, dtype=np.uint32)
 
 
 def rng_for(*parts: int) -> np.random.Generator:
@@ -121,11 +115,9 @@ def _conforms(value, hint) -> bool:
     if hint is int or hint is float:
         return (isinstance(value, (int, hint)) and not isinstance(value, bool)
                 and (isinstance(value, int) or math.isfinite(value)))
-    if hint is tuple or get_origin(hint) is tuple:
+    if get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and all(
             _conforms(item, arg) for arg in get_args(hint)[:1] for item in value)
-    if get_origin(hint) is UnionType:
-        return any(_conforms(value, arg) for arg in get_args(hint))
     return isinstance(value, hint)
 
 
@@ -195,7 +187,8 @@ _CONFIG_RULES = (
     (lambda c: len(c.batch_sizes) >= 1, "batch_sizes must name at least one batch size"),
     (lambda c: len(c.defenses) >= 1, "defenses may not be empty; use kind 'none'"),
     (lambda c: c.trials >= 1, "trials must be >= 1"),
-    (lambda c: c.master_seed >= 0, "master_seed must be >= 0"),
+    (lambda c: 0 <= c.master_seed < 2**32,
+     "master_seed must lie in [0, 2**32), got {master_seed}"),
     (lambda c: c.hidden >= 1, "hidden must be >= 1"),
     # a negative input_dim is no square either
     (lambda c: c.model != "cnn" or math.isqrt(max(c.input_dim, 0)) ** 2 == c.input_dim,
@@ -226,7 +219,6 @@ class ExperimentConfig:
     defenses: tuple[DefenseSpec, ...] = (DefenseSpec(),)
     trials: int = 100
     master_seed: int = 0
-    out: str | None = None
     # dataset and training knobs (desk-scale defaults)
     n_classes: int = 10
     input_dim: int = 64
@@ -319,7 +311,6 @@ class ResultRow:
 
 
 CSV_HEADER = [f.name for f in fields(ResultRow)]
-_CELL_TYPES = list(get_type_hints(ResultRow).values())
 
 
 def _build_model(config: ExperimentConfig, seed: int):
@@ -499,33 +490,6 @@ def emit_csv(rows: list[ResultRow], dest) -> None:
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(vars(row).values() for row in rows)
-
-
-def read_csv(source) -> list[ResultRow]:
-    """Parse a CSV produced by emit_csv back into ResultRow objects; source
-    is a path or a text stream."""
-    if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return read_csv(handle)
-    name = getattr(source, "name", source)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"{name}: unexpected CSV header {header}")
-    rows = []
-    for record in reader:
-        if len(record) != len(CSV_HEADER):
-            raise ValueError(f"{name}: malformed row {record}")
-        rows.append(ResultRow(*map(_parse_cell, record, _CELL_TYPES)))
-    return rows
-
-
-def _parse_cell(text: str, cell_type):
-    # an empty cell of an optional (`float | None`) field is None
-    optional = get_args(cell_type)
-    if optional:
-        return optional[0](text) if text else None
-    return cell_type(text)
 
 
 def format_summary(rows: list[ResultRow]) -> str:

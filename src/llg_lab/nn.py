@@ -381,7 +381,6 @@ class Network:
         self.layers = list(layers)
         self.n_classes = n_classes
         self.input_shape = tuple(input_shape)
-        self.h = head.W.shape[1]
         self._version = 0  # bumped on every parameter update; invalidates caches
         self.layout = tuple((layer.W.shape, layer.b.shape) if hasattr(layer, "W")
                             else None for layer in self.layers)

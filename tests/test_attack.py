@@ -161,6 +161,12 @@ class TestWhiteBoxEstimation:
         params = estimate_params_whitebox(net, batch_size, batch_size, dummy_kind="zeros")
         assert params.impact == pytest.approx(expected, rel=1e-12)
 
+    def test_uniform_random_dummies_need_a_generator(self):
+        # no hidden default stream: the caller says where the dummies come from
+        net = mlp(16, 4, seed=32)
+        with pytest.raises(ValueError, match="need a random generator"):
+            estimate_params_whitebox(net, 4, 4, dummy_kind="uniform_random")
+
     def test_unknown_dummy_kind_rejected(self):
         net = mlp(16, 4, seed=32)
         with pytest.raises(ValueError, match="dummy kind"):
@@ -371,7 +377,7 @@ class TestProbeRowSums:
             estimate_params_whitebox(net, 8, 8, kind)
             assert calls == [10]
         calls.clear()
-        estimate_params_whitebox(net, 8, 8, "uniform_random")
+        estimate_params_whitebox(net, 8, 8, "uniform_random", np.random.default_rng(0))
         assert len(calls) == 10 * (IMPACT_BATCHES + len(OFFSET_BATCH_SIZES))
 
     def test_non_finite_row_sum_rejected(self):
@@ -542,6 +548,36 @@ class TestProbeTables:
         else:
             assert calls == [("integers", (0, 100, (100, batch_size))),
                              ("random", ((30, 100),))]
+
+
+class TestClosedFormExpectation:
+    @pytest.mark.parametrize("batch_size", [1, 8, 128])
+    def test_sampled_estimates_centre_on_the_class_mean_rows(self, batch_size):
+        # _params is linear in the probe means, and a probe mean's
+        # expectation, drawn with or without replacement (B = 128 outgrows
+        # the 100-sample pools), is its class's mean row. So the expected
+        # estimate is _params of the per-class mean rows M, passed as the
+        # zeros path passes its rows; the sample means of 400 estimates must
+        # lie within 4 standard errors of it
+        _, aux = synth_generate(SyntheticSpec(seed=7))
+        net = mlp(64, 10, seed=3)
+        logits, penultimate = held_out(net, aux)
+        n, draws = net.n_classes, 400
+        rows = gradient_row_sums(logits, penultimate, aux.ys)
+        onehot = (aux.ys[:, None] == np.arange(1, n + 1)).astype(np.float64)
+        means = onehot.T @ rows / onehot.sum(axis=0)[:, None]
+        expected = attack._params(np.repeat(means.diagonal()[:, None], IMPACT_BATCHES, axis=1),
+                                  np.broadcast_to(means, (len(OFFSET_BATCH_SIZES), n, n)),
+                                  batch_size, batch_size)
+        rng = np.random.default_rng(7)
+        estimates = [estimate_params_auxiliary(logits, penultimate, aux, batch_size,
+                                               batch_size, rng) for _ in range(draws)]
+        impacts = np.array([params.impact for params in estimates])
+        offsets = np.stack([params.offsets for params in estimates])
+        for sampled, closed in ((impacts, expected.impact), (offsets, expected.offsets)):
+            standard_error = sampled.std(axis=0, ddof=1) / np.sqrt(draws)
+            assert np.all(standard_error > 0)
+            assert np.all(np.abs(sampled.mean(axis=0) - closed) <= 4 * standard_error)
 
 
 class TestSharedHeldOutForward:

@@ -1,5 +1,6 @@
 """Runner and CLI tests: config validation, CSV contract, determinism."""
 
+import csv
 import io
 import json
 import math
@@ -22,7 +23,6 @@ from llg_lab.experiments import (
     emit_csv,
     format_summary,
     load_config,
-    read_csv,
     run_experiment,
     task_count,
 )
@@ -55,6 +55,31 @@ def defense_sweep(defenses):
                         trials=2, defenses=defenses)
 
 
+def assert_cells_hold(text, rows):
+    """text, parsed by csv.reader, is the header and then one record per
+    row whose every cell is its row's value: None as an empty cell, a float
+    that parses back to exactly that float, anything else as its str()."""
+    header, *records = csv.reader(io.StringIO(text))
+    assert header == CSV_HEADER
+    assert len(records) == len(rows)
+    for record, row in zip(records, rows):
+        for cell, value in zip(record, vars(row).values(), strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+def csv_records(path):
+    """The records after the header of a CSV file, as csv.reader reads them."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *records = csv.reader(handle)
+    assert header == CSV_HEADER
+    return records
+
+
 def held_out_counts(monkeypatch, config):
     """Network.forward calls whose batch is the run's held-out set, and
     gradient_row_sums calls, over one run of config."""
@@ -83,7 +108,8 @@ BELOW_ZERO = st.floats(max_value=-math.ulp(0.0))
 CONFIG_OUT_OF_RANGE = {
     "gamma": st.integers(max_value=0),
     "trials": st.integers(max_value=0),
-    "master_seed": st.integers(max_value=-1),
+    # every stream-key part is one 32-bit word
+    "master_seed": st.integers(max_value=-1) | st.integers(min_value=2**32),
     "n_classes": st.integers(max_value=1),
     "input_dim": st.integers(max_value=0),
     "samples_per_class": st.integers(max_value=1),
@@ -253,8 +279,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'defenses' must be tuple"):
             ExperimentConfig("defense_sweep", defenses=({"kind": "none"},))
         assert replace(small_config(), trials=5, eta=1).trials == 5
-        # an int too large for a float is still an int, not a non-finite number
-        assert replace(small_config(), master_seed=10**400).master_seed == 10**400
+        # an int too large for a float is still an int, not a non-finite
+        # number: the range rule rejects it, not the type check
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*32\)"):
+            replace(small_config(), master_seed=10**400)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_rejected(self, value):
@@ -479,8 +507,7 @@ class TestCsvContract:
         rows = run_experiment(small_config(attacks=("llg", "random"), trials=2))
         buffer = io.StringIO()
         emit_csv(rows, buffer)
-        buffer.seek(0)
-        assert read_csv(buffer) == rows
+        assert_cells_hold(buffer.getvalue(), rows)
 
     def test_file_output_is_byte_identical_across_runs(self, tmp_path):
         paths = []
@@ -497,10 +524,6 @@ class TestCsvContract:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8").endswith("\n")
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            read_csv(io.StringIO("a,b,c\n"))
 
     def test_summary_mentions_each_attack(self):
         rows = run_experiment(small_config(attacks=("llg", "random"), trials=2))
@@ -537,7 +560,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
         csv_path = out_dir / "config.csv"
         assert csv_path.exists()
-        assert len(read_csv(csv_path)) == 4
+        assert len(csv_records(csv_path)) == 4
         captured = capsys.readouterr()
         assert "mean" in captured.out  # summary table on stdout
 
@@ -554,7 +577,9 @@ class TestCli:
             ["compression.csv", "noise.csv"]
         for name, defense in arms.items():
             label = DefenseSpec.from_dict(defense).label()
-            assert {row.defense for row in read_csv(out_dir / f"{name}.csv")} == {label}
+            column = CSV_HEADER.index("defense")
+            assert {record[column] for record in csv_records(out_dir / f"{name}.csv")} == \
+                {label}
 
     def test_run_streams_csv_to_stdout_without_out(self, tmp_path, capsys):
         config = write_config(tmp_path, trials=1, attacks=["llg"])
@@ -584,7 +609,7 @@ class TestCli:
         config = write_config(tmp_path)
         out_dir = tmp_path / "results"
         cli.main(["run", "--config", str(config), "--out", str(out_dir), "--trials", "1"])
-        assert len(read_csv(out_dir / "config.csv")) == 2
+        assert len(csv_records(out_dir / "config.csv")) == 2
 
     @pytest.mark.parametrize("overrides, field", [
         pytest.param({"experiment": "nope"}, "experiment", id="unknown-experiment"),
@@ -611,6 +636,9 @@ class TestCli:
                      id="sigma-minus-inf"),
         pytest.param({"gamma": 0}, "gamma", id="gamma-zero"),
         pytest.param({"defense": {"kind": "compress", "theta": 1.0}}, "theta", id="theta-one"),
+        pytest.param({"master_seed": 2**32}, "master_seed", id="master_seed-two-words"),
+        # --out is a CLI option only
+        pytest.param({"out": "results"}, "out", id="out-field"),
     ])
     def test_invalid_config_returns_error_code(self, tmp_path, capsys, overrides, field):
         config = write_config(tmp_path, **overrides)
@@ -618,6 +646,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error" in err and field in err
         assert "progress" not in err  # rejected before the run starts
+
+    def test_seed_of_two_words_returns_error_code(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config), "--seed", str(2**32)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "master_seed" in err
+        assert "progress" not in err
+
+    def test_out_on_an_existing_file_fails_before_the_run(self, tmp_path, capsys,
+                                                          monkeypatch):
+        config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        calls = []
+        monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: calls.append(a))
+        assert cli.main(["run", "--config", str(config), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and str(taken) in err
+        assert calls == []
+        assert taken.read_text() == "not a directory"
 
     def test_missing_config_returns_error_code(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
@@ -640,8 +688,7 @@ class TestShippedConfigs:
         assert len(rows) == task_count(config) * per_task
         buffer = io.StringIO()
         emit_csv(rows, buffer)
-        buffer.seek(0)
-        assert read_csv(buffer) == rows
+        assert_cells_hold(buffer.getvalue(), rows)
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_bench_workload_loads(self, name):

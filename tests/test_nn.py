@@ -744,7 +744,7 @@ class TestConstructionRules:
 
     def test_kernel_larger_than_input_rejected(self):
         net = small_cnn((6, 6), 3, channels=2, seed=0)
-        assert net.h == 2 * 2 * 2
+        assert net.head.W.shape[1] == 2 * 2 * 2
         with pytest.raises(ValueError, match="smaller than kernel"):
             Conv2D(1, 2, 9, 1, np.random.default_rng(0)).output_hw(6, 6)
 
