@@ -43,12 +43,53 @@ class BatchSpec:
                              f"got {self.balance!r}")
 
 
-def _draw_from(indices: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    # fall back to replacement only when the class pool is too small
-    replace = count > len(indices)
-    return rng.choice(indices, size=count, replace=replace)
+def _draw_from(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    # the draws of rng.choice(pool, count, replace=...) without its array
+    # handling: the same entries, and the generator left in the same state
+    if count > len(pool):  # fall back to replacement only when the class pool is too small
+        return pool[rng.integers(0, len(pool), size=count)]
+    return pool[rng.choice(len(pool), size=count, replace=False)]
+
+
+def _present_labels(dataset: ClientDataset) -> np.ndarray:
+    present = dataset.present_labels
+    if len(present) < 2:
+        raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
+    return present
+
+
+def _draw_pair(present: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # rng.choice(present, size=2, replace=False), read by index as in _draw_from
+    return present[rng.choice(len(present), size=2, replace=False)]
+
+
+def _unbalanced_indices(dataset: ClientDataset, size: int, dominant, secondary,
+                        rng: np.random.Generator) -> np.ndarray:
+    n_dom, n_sec = size // 2, size // 4
+    return np.concatenate([
+        _draw_from(dataset.class_indices(dominant), n_dom, rng),
+        _draw_from(dataset.class_indices(secondary), n_sec, rng),
+        rng.integers(0, len(dataset), size=size - n_dom - n_sec),
+    ])
+
+
+def batch_indices(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
+                  pair: tuple[int, int] | None = None) -> np.ndarray:
+    """The row indices of one batch: make_batch's draws without its gather."""
+    if spec.balance == "balanced":
+        if pair is not None:
+            raise ValueError("a balanced batch takes no label pair")
+        return rng.integers(0, len(dataset), size=spec.size)
+    present = _present_labels(dataset)
+    if pair is None:
+        pair = _draw_pair(present, rng)
+    dominant, secondary = pair
+    if dominant == secondary:
+        raise ValueError("dominant and secondary labels must differ")
+    for label in pair:
+        if not len(dataset.class_indices(label)):
+            raise ValueError(f"pair label {int(label)} is absent from the dataset")
+    return _unbalanced_indices(dataset, spec.size, dominant, secondary, rng)
 
 
 def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
@@ -59,31 +100,30 @@ def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator
     draws two distinct present labels when pair is None; a balanced batch
     takes no pair.
     """
-    if spec.balance == "balanced":
-        if pair is not None:
-            raise ValueError("a balanced batch takes no label pair")
-        idx = rng.integers(0, len(dataset), size=spec.size)
-    else:
-        present = dataset.present_labels
-        if len(present) < 2:
-            raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
-        if pair is None:
-            pair = rng.choice(present, size=2, replace=False)
-        dominant, secondary = pair
-        if dominant == secondary:
-            raise ValueError("dominant and secondary labels must differ")
-        for label in pair:
-            if not len(dataset.class_indices(label)):
-                raise ValueError(f"pair label {int(label)} is absent from the dataset")
-        n_dom = spec.size // 2
-        n_sec = spec.size // 4
-        n_rest = spec.size - n_dom - n_sec
-        idx = np.concatenate([
-            _draw_from(dataset.class_indices(dominant), n_dom, rng),
-            _draw_from(dataset.class_indices(secondary), n_sec, rng),
-            rng.integers(0, len(dataset), size=n_rest),
-        ])
+    idx = batch_indices(dataset, spec, rng, pair)
     return dataset.xs[idx], dataset.ys[idx]
+
+
+def _round_indices(dataset: ClientDataset, spec: BatchSpec, gamma: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One client's (gamma, B) row indices for a FedAvg round, drawn in the
+    order a make_batch per step would draw them.
+
+    The round keeps one dominant label (the client's data skew); the
+    secondary is redrawn per batch. The first pair is drawn exactly like
+    make_batch would, so gamma=1 is bit-identical to FedSGD.
+    """
+    if spec.balance == "balanced":
+        return np.stack([batch_indices(dataset, spec, rng) for _ in range(gamma)])
+    present = _present_labels(dataset)
+    dominant, secondary = _draw_pair(present, rng)
+    others = present[present != dominant]
+    table = np.empty((gamma, spec.size), dtype=np.int64)
+    for step in range(gamma):
+        if step > 0:
+            secondary = others[rng.integers(len(others))]  # rng.choice(others)
+        table[step] = _unbalanced_indices(dataset, spec.size, dominant, secondary, rng)
+    return table
 
 
 @dataclass
@@ -112,7 +152,9 @@ def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchS
     """Run gamma local SGD steps per client on its own copy of the model
     and share each client's summed per-step gradients.
 
-    Client c draws from datasets[c] with rngs[c] alone. The clients train as
+    Client c draws from datasets[c] with rngs[c] alone: its gamma batches,
+    in the order a make_batch per step draws them, before any training. So
+    no two entries of rngs may share a bit generator. The clients train as
     one network with a leading client axis (`net.replicas`), row c of which
     has the bits client c gets alone. Returns one (update, truth) per client,
     in order; the truth is the multiset of all labels the local steps
@@ -123,37 +165,29 @@ def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchS
     if not datasets or len(datasets) != len(rngs):
         raise ValueError(f"need one rng per dataset, got {len(datasets)} datasets "
                          f"and {len(rngs)} rngs")
-    pairs, others = [None] * len(datasets), [None] * len(datasets)
-    if spec.balance == "unbalanced":
-        for c, (dataset, rng) in enumerate(zip(datasets, rngs)):
-            present = dataset.present_labels
-            if len(present) < 2:
-                raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
-            # the round keeps one dominant label (the client's data skew); the
-            # secondary is redrawn per batch. The first pair is drawn exactly
-            # like make_batch would, so gamma=1 is bit-identical to FedSGD.
-            pairs[c] = rng.choice(present, size=2, replace=False)
-            others[c] = present[present != pairs[c][0]]
+    owners: dict[int, int] = {}
+    for c, rng in enumerate(rngs):
+        first = owners.setdefault(id(rng.bit_generator), c)
+        if first != c:
+            raise ValueError(f"rngs[{first}] and rngs[{c}] share one bit generator; "
+                             f"each client needs a stream of its own")
+    # each client draws its whole round, then one gather per client gives
+    # (gamma, K, B, ...) arrays whose step s is the stacked (K, B, ...) batch
+    tables = [_round_indices(dataset, spec, gamma, rng) for dataset, rng in zip(datasets, rngs)]
+    seen = [dataset.ys[table] for dataset, table in zip(datasets, tables)]
+    batches = np.stack([dataset.xs[table] for dataset, table in zip(datasets, tables)], axis=1)
+    labels = np.stack(seen, axis=1)
     local = net.replicas(len(datasets))
     accumulated: Gradients | None = None
-    labels_seen = []
     for step in range(gamma):
-        batches = []
-        for c, (dataset, rng) in enumerate(zip(datasets, rngs)):
-            if pairs[c] is not None and step > 0:
-                pairs[c] = (pairs[c][0], rng.choice(others[c]))
-            batches.append(make_batch(dataset, spec, rng, pairs[c]))
-        batch, labels = (np.stack(parts) for parts in zip(*batches))
-        logits, cache = local.forward(batch)
-        grads = local.backward(cache, output_gradient(logits, labels))
+        logits, cache = local.forward(batches[step])
+        grads = local.backward(cache, output_gradient(logits, labels[step]))
         accumulated = grads if accumulated is None else accumulated.add_(grads)
         if step < gamma - 1:  # a step after the last gradient is never read
             local.sgd_step(grads, eta)
-        labels_seen.append(labels)
-    seen = np.stack(labels_seen, axis=1).reshape(len(datasets), -1)
     return [(RoundUpdate(accumulated.like(row), gamma * spec.size),
-             LabelMultiset.from_labels(labels, net.n_classes))
-            for row, labels in zip(accumulated.vector, seen)]
+             LabelMultiset.from_labels(client_labels.ravel(), net.n_classes))
+            for row, client_labels in zip(accumulated.vector, seen)]
 
 
 def server_aggregate(updates: list[RoundUpdate], global_net: Network, eta: float) -> Network:

@@ -3,10 +3,10 @@ weighted aggregation, and the FedAvg(gamma=1) == FedSGD identity."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from llg_lab import experiments
+from llg_lab import experiments, fl
 from llg_lab.data import SyntheticSpec, synth_generate
 from llg_lab.experiments import ExperimentConfig, rng_for, run_experiment
 from llg_lab.fl import (
@@ -14,6 +14,7 @@ from llg_lab.fl import (
     VALID_BATCH_SIZES,
     BatchSpec,
     RoundUpdate,
+    batch_indices,
     local_train_fedavg,
     local_train_fedsgd,
     make_batch,
@@ -115,6 +116,107 @@ class TestMakeBatch:
         only_ones = single.subset(np.flatnonzero(single.ys == 1))
         with pytest.raises(ValueError, match="2 distinct labels"):
             make_batch(only_ones, BatchSpec(4, "unbalanced"), np.random.default_rng(0))
+
+
+def round_by_choice(dataset, spec, gamma, rng):
+    """A FedAvg client's (gamma, B) round table drawn as make_batch drew it
+    through Generator.choice's array handling. Kept as the oracle."""
+    def draw(pool, count):
+        if count == 0:
+            return np.empty(0, dtype=np.int64)
+        return rng.choice(pool, size=count, replace=count > len(pool))
+
+    size = spec.size
+    if spec.balance == "balanced":
+        return np.stack([rng.integers(0, len(dataset), size=size) for _ in range(gamma)])
+    present = dataset.present_labels
+    pair = rng.choice(present, size=2, replace=False)
+    others = present[present != pair[0]]
+    rows = []
+    for step in range(gamma):
+        if step > 0:
+            pair = (pair[0], rng.choice(others))
+        rows.append(np.concatenate([
+            draw(dataset.class_indices(pair[0]), size // 2),
+            draw(dataset.class_indices(pair[1]), size // 4),
+            rng.integers(0, len(dataset), size=size - size // 2 - size // 4),
+        ]))
+    return np.stack(rows)
+
+
+@st.composite
+def pools_and_counts(draw):
+    pool = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=150, unique=True))
+    # a count equal to the pool length or above it is drawn as often as any
+    count = draw(st.one_of(st.integers(0, 128), st.just(len(pool)),
+                           st.integers(len(pool) + 1, max(len(pool) + 1, 128))))
+    return np.array(sorted(pool), dtype=np.int64), count
+
+
+def same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+class TestDrawRewrites:
+    """Each draw reads Generator.choice's numbers by index, without its
+    array handling: the same entries, and the generator left in the same
+    state, on whatever numpy runs the suite."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(pool_count=pools_and_counts(), seed=st.integers(0, 2**32 - 1))
+    @example(pool_count=(np.arange(64), 64), seed=0)
+    @example(pool_count=(np.arange(5), 6), seed=1)
+    @example(pool_count=(np.array([3]), 128), seed=2)
+    @example(pool_count=(np.arange(150), 0), seed=3)
+    def test_draw_from_equals_choice_on_the_pool(self, pool_count, seed):
+        pool, count = pool_count
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = fl._draw_from(pool, count, rng)
+        expected = (np.empty(0, dtype=np.int64) if count == 0 else
+                    ref.choice(pool, size=count, replace=count > len(pool)))
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, expected)
+        assert same_state(rng, ref)
+
+    @settings(deadline=None, max_examples=200)
+    @given(labels=st.lists(st.integers(1, 200), min_size=2, max_size=150, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_equals_choice_on_the_present_labels(self, labels, seed):
+        present = np.array(sorted(labels), dtype=np.int64)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(fl._draw_pair(present, rng),
+                              ref.choice(present, size=2, replace=False))
+        assert same_state(rng, ref)
+
+    @settings(deadline=None, max_examples=200)
+    @given(labels=st.lists(st.integers(1, 200), min_size=1, max_size=150, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_secondary_equals_choice_on_the_others(self, labels, seed):
+        others = np.array(sorted(labels), dtype=np.int64)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert others[rng.integers(len(others))] == ref.choice(others)
+        assert same_state(rng, ref)
+
+    @settings(deadline=None, max_examples=150)
+    @given(batch_size=st.sampled_from(VALID_BATCH_SIZES), balance=st.sampled_from(BALANCES),
+           gamma=st.integers(1, 5), rows=st.integers(12, 200), seed=st.integers(0, 2**31))
+    def test_round_table_equals_the_choice_draws(self, pool, batch_size, balance, gamma,
+                                                 rows, seed):
+        # small clients leave class pools below B / 2, so the replacement
+        # fallback is drawn too
+        part = pool.subset(np.random.default_rng(seed).choice(len(pool), size=rows,
+                                                               replace=False))
+        assume(balance == "balanced" or len(part.present_labels) >= 2)
+        spec = BatchSpec(batch_size, balance)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = fl._round_indices(part, spec, gamma, rng)
+        assert table.shape == (gamma, batch_size)
+        assert np.array_equal(table, round_by_choice(part, spec, gamma, ref))
+        assert same_state(rng, ref)
+        # make_batch's draw half is a round of one step
+        assert np.array_equal(batch_indices(part, spec, rng),
+                              round_by_choice(part, spec, 1, ref)[0])
+        assert same_state(rng, ref)
 
 
 class TestFedSgd:
@@ -295,6 +397,40 @@ class TestClientStack:
             assert truth == expected_truth
         assert all(a.random() == b.random() for a, b in zip(rngs, oracle_rngs))
         assert np.array_equal(net.params, before)
+
+    @pytest.mark.parametrize("balance", BALANCES)
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_permuting_the_clients_permutes_the_results(self, pool, image_pool, model,
+                                                        balance):
+        if model == "mlp":
+            net, data = mlp(16, 10, hidden=12, seed=21), pool
+        else:
+            net, data = small_cnn((6, 6), 10, channels=3, seed=21), image_pool
+        draw = np.random.default_rng(22)
+        datasets = [data.subset(draw.choice(len(data), size=int(draw.integers(20, 80)),
+                                            replace=False)) for _ in range(6)]
+        order = draw.permutation(6)
+        spec = BatchSpec(8, balance)
+        rngs = [np.random.default_rng(30 + c) for c in range(6)]
+        moved = [np.random.default_rng(30 + c) for c in order]
+        results = local_train_fedavg(net, datasets, spec, 3, 0.1, rngs)
+        permuted = local_train_fedavg(net, [datasets[c] for c in order], spec, 3, 0.1, moved)
+        for (update, truth), c in zip(permuted, order):
+            assert np.array_equal(update.gradients.vector, results[c][0].gradients.vector)
+            assert update.sample_count == results[c][0].sample_count
+            assert truth == results[c][1]
+        assert all(rng.random() == rngs[c].random() for rng, c in zip(moved, order))
+
+    @pytest.mark.parametrize("first, second", [(0, 2), (1, 2)])
+    def test_rngs_sharing_a_bit_generator_rejected(self, pool, first, second):
+        # drawn client by client, a shared stream would hand each client
+        # different numbers than drawn step by step
+        rngs = [np.random.default_rng(c) for c in range(3)]
+        rngs[second] = (rngs[first] if first == 0
+                        else np.random.Generator(rngs[first].bit_generator))
+        with pytest.raises(ValueError, match=f"rngs\\[{first}\\] and rngs\\[{second}\\] share "
+                                             "one bit generator"):
+            local_train_fedavg(mlp(16, 10, seed=1), [pool] * 3, BatchSpec(4), 2, 0.1, rngs)
 
     @pytest.mark.parametrize("rngs", [0, 2])
     def test_one_rng_per_dataset_required(self, pool, rngs):
