@@ -16,7 +16,6 @@ gradients only ("llg"), a white-box model copy probed with dummy inputs
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,44 +106,6 @@ def _probe_means(own: np.ndarray, offset_rows) -> tuple[np.ndarray, np.ndarray]:
     return impact, np.stack([rows.mean(axis=1) for rows in offset_rows])
 
 
-def _probe_indices(pools, tables, rng: np.random.Generator) -> list[np.ndarray]:
-    """The (count, size) index table of each (label, size, count) probe table
-    in tables, drawn from pools[label - 1] in that order, with one generator
-    call per run of consecutive tables that draw alike: from pools of one
-    length, and either all without replacement or all with replacement at
-    one size.
-
-    When a probe outgrows its pool (size > len(pool)) it draws with
-    replacement, as rng.choice(pool, size, replace=True) would: that call
-    gathers one rng.integers draw, and consecutive integers draws with one
-    bound chain through the generator's state, so a run of such tables is
-    one (Σcount, size) draw. Otherwise each probe is the first `size`
-    entries of its pool sorted by one row of rng.random((count, len(pool)))
-    keys; consecutive key rows chain the same way, so a run is one key table
-    and one sort, and each row equals one key draw per probe. The sort is
-    numpy's default kind: distinct keys have one order under every sort, and
-    two of ~100 53-bit keys tie with a chance of about 5e-13 per probe.
-    """
-    def draws_alike(table) -> tuple[int, int]:
-        label, size, _ = table
-        length = len(pools[label - 1])
-        return length, size if size > length else 0
-
-    drawn = []
-    for (length, replace_size), run in itertools.groupby(tables, key=draws_alike):
-        run = list(run)
-        probes = sum(count for _, _, count in run)
-        if replace_size:
-            run_draws = rng.integers(0, length, (probes, replace_size))
-        else:
-            run_draws = np.argsort(rng.random((probes, length)), axis=1)
-        at = 0
-        for label, size, count in run:
-            drawn.append(pools[label - 1].take(run_draws[at:at + count, :size]))
-            at += count
-    return drawn
-
-
 def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
             sample_count: int) -> AttackParams:
     """A probe of B samples labelled i moves g[i] by about B impacts, so the
@@ -195,10 +156,17 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
 
 
 def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
-                              aux: ClientDataset, batch_size: int, sample_count: int,
-                              rng: np.random.Generator) -> AttackParams:
-    """Estimate impact and offsets by probing with real samples of an auxiliary
-    dataset covering every class, given the model's forward pass over aux.xs."""
+                              aux: ClientDataset, batch_size: int,
+                              sample_count: int) -> AttackParams:
+    """Estimate impact and offsets from real samples of an auxiliary dataset
+    covering every class, given the model's forward pass over aux.xs.
+
+    The paper averages the rows of sampled single-label probe batches.
+    _params is linear in the probe means, and a probe mean's expectation,
+    drawn with or without replacement, is its class's mean row; so this is
+    the expected estimate, _params of the (n, n) class mean rows (row l − 1
+    for class l), passed as the zeros path passes its rows. Nothing is drawn.
+    """
     if np.ndim(logits) != 2:
         raise ValueError(f"logits must be (B, n), got shape {np.shape(logits)}")
     if len(penultimate) != len(logits):
@@ -206,18 +174,16 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
     if len(logits) != len(aux):
         raise ValueError(f"{len(logits)} forward rows for {len(aux)} auxiliary samples")
     n = logits.shape[1]
-    for label in range(1, n + 1):
-        if len(aux.class_indices(label)) == 0:
+    pools = [aux.class_indices(label) for label in range(1, n + 1)]
+    for label, pool in enumerate(pools, start=1):
+        if len(pool) == 0:
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
-    pools = [aux.class_indices(label) for label in range(1, n + 1)]
-    tables = _probe_indices(pools, _probe_tables(n, batch_size), rng)
-    # an impact probe reads only its own label's entries: entry k·n + l − 1
-    # of the flat row table, gathered as a (B, n, T) array
-    own = rows.take((np.stack(tables[:n]) * n + np.arange(n)[:, None, None]).transpose(2, 0, 1))
-    offsets = [rows.take(np.concatenate(tables[k:k + n]), axis=0)
-               for k in range(n, len(tables), n)]
-    return _params(*_probe_means(own, offsets), batch_size, sample_count)
+    counts = np.array([len(pool) for pool in pools])
+    # every pool is non-empty, so each class's rows are one reduceat segment
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    means = np.add.reduceat(rows[np.concatenate(pools)], starts, axis=0) / counts[:, None]
+    return _params(means.diagonal()[:, None], means[None], batch_size, sample_count)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:

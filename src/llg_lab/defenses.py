@@ -51,10 +51,15 @@ def compress(grads: Gradients, residual: Gradients, theta: float) -> Gradients:
     magnitude exceeds the theta-quantile of the accumulated residual are
     emitted and zeroed there, everything else stays for later rounds.
     Mutates residual, so emitted-so-far plus residual always equals the raw
-    gradient total, also when theta changes between rounds.
+    gradient total, also when theta changes between rounds. A residual of
+    another shape or layout is rejected before it is touched.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
+    if residual.vector.shape != grads.vector.shape or residual.layout != grads.layout:
+        raise ValueError(f"residual of shape {residual.vector.shape} and layout "
+                         f"{residual.layout} does not match the update's shape "
+                         f"{grads.vector.shape} and layout {grads.layout}")
     accumulated = residual.add_(grads).vector
     magnitudes = np.abs(accumulated)
     discard = int(np.floor(theta * accumulated.size))

@@ -339,12 +339,13 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
     One forward pass over the held-out set gives the accuracy and llg_plus's
     rows. calibration_plot has the one llg_plus guess. Attack a draws from
     rng_for(master, kind, *rng_key, _STREAM_ATTACK, a), built only for the
-    attacks that draw: llg and llg_star's zeros and ones dummies do not."""
+    attacks that draw: llg, llg_plus and llg_star's zeros and ones dummies
+    do not."""
     logits, cache = net.forward(test.xs)
     calibration = config.experiment == "calibration_plot"
     guesses = []
     for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
-        draws = attack in ("random", "llg_plus") or (
+        draws = attack == "random" or (
             attack == "llg_star" and config.dummy_kind == "uniform_random")
         rng = (rng_for(config.master_seed, KIND_INDEX[config.experiment], *rng_key,
                        _STREAM_ATTACK, a_idx) if draws else None)
@@ -357,7 +358,7 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
                                              dummy_kind=config.dummy_kind, rng=rng)
         elif attack == "llg_plus":
             guess = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
-                                              sample_count, rng)
+                                              sample_count)
         else:
             raise ValueError(f"unknown attack {attack!r}")
         guesses.append((attack, guess))

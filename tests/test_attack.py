@@ -24,7 +24,7 @@ from llg_lab.attack import (
     uniform_params,
 )
 from llg_lab.data import SyntheticSpec, synth_generate
-from llg_lab.fl import BatchSpec, local_train_fedsgd, make_batch
+from llg_lab.fl import VALID_BATCH_SIZES, BatchSpec, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate
 from llg_lab.nn import LastLayerGradient, mlp, output_gradient, small_cnn
@@ -51,16 +51,6 @@ def forward_rows(net, batch, labels):
     """The rows of one forward pass of batch, as the llg_star probes take them."""
     logits, cache = net.forward(batch)
     return gradient_row_sums(logits, cache.penultimate, labels)
-
-
-def one_probe(pool, size, rng):
-    """One probe of `size` entries of pool, drawn on its own: the per-probe
-    oracle of attack._probe_indices. With replacement it is the rng.choice
-    call the table's one integers draw stands for; without, the first `size`
-    entries of pool sorted by one key per entry."""
-    if size > len(pool):
-        return rng.choice(pool, size=size, replace=True)
-    return pool[np.argsort(rng.random(len(pool)))[:size]]
 
 
 def looped_extract(g, params: AttackParams, target: int) -> np.ndarray:
@@ -220,17 +210,29 @@ def loop_estimates(n, batch_size, rows_for_label):
     return impact, sums / (len(OFFSET_BATCH_SIZES) * (n - 1))
 
 
-def loop_rows_for_label(net, kind, aux, rng):
+def sampled_auxiliary(rows, aux, batch_size, rng):
+    """The paper's LLG+ estimate from sampled probes, as (impact, offsets):
+    each probe is one rng.choice of its label's pool, with replacement once
+    B outgrows the pool, and the loop oracle averages the probes' rows."""
+    def rows_for_label(label, size):
+        pool = aux.class_indices(label)
+        return rows[rng.choice(pool, size=size, replace=size > len(pool))]
+
+    return loop_estimates(aux.n_classes, batch_size, rows_for_label)
+
+
+def class_mean_params(rows, ys, n, batch_size):
+    """_params of the per-class mean rows, averaged one class at a time: the
+    oracle of the auxiliary estimator's one reduction."""
+    means = np.stack([rows[ys == label].mean(axis=0) for label in range(1, n + 1)])
+    return attack._params(means.diagonal()[:, None], means[None], batch_size, batch_size)
+
+
+def loop_rows_for_label(net, kind, rng):
     """The per-probe rows the loop oracle reads, drawn from rng in the
     estimators' order; a zeros/ones probe is the one row of its label."""
     n, input_dim = net.n_classes, int(np.prod(net.input_shape))
-    if kind == "auxiliary":
-        rows = forward_rows(net, aux.xs, aux.ys)
-
-        def rows_for_label(label, size):
-            pool = aux.class_indices(label)
-            return rows[one_probe(pool, size, rng)]
-    elif kind == "uniform_random":
+    if kind == "uniform_random":
         def rows_for_label(label, size):
             return forward_rows(net, rng.random((size, input_dim)), np.full(size, label))
     else:
@@ -267,22 +269,6 @@ def network_row_sums(net, batch, labels):
     return rows
 
 
-def network_auxiliary(net, aux, batch_size, rng):
-    """estimate_params_auxiliary as it was when it took the network and drew
-    its probes one at a time: the oracle path of the shared held-out forward,
-    as (impact, offsets)."""
-    n = net.n_classes
-    for label in range(1, n + 1):
-        if len(aux.class_indices(label)) == 0:
-            raise ValueError(f"auxiliary dataset has no samples of class {label}")
-    rows = network_row_sums(net, aux.xs, aux.ys)
-
-    def rows_for_label(label, size):
-        return rows[one_probe(aux.class_indices(label), size, rng)]
-
-    return loop_estimates(n, batch_size, rows_for_label)
-
-
 class TestProbeRowSums:
     @settings(deadline=None, max_examples=80)
     @given(model=st.sampled_from(["mlp", "cnn"]),
@@ -313,27 +299,19 @@ class TestProbeRowSums:
     @given(model=st.sampled_from(["mlp", "cnn"]),
            activation=st.sampled_from(["sigmoid", "relu"]),
            batch_size=st.integers(1, 128),
-           kind=st.sampled_from(["zeros", "ones", "uniform_random", "auxiliary"]),
+           kind=st.sampled_from(["zeros", "ones", "uniform_random"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_estimates_match_one_forward_per_probe(self, world, model, activation,
-                                                   batch_size, kind, seed):
+    def test_estimates_match_one_forward_per_probe(self, model, activation, batch_size, kind,
+                                                   seed):
         # same draws from the same stream, so both routes see the same probes
-        _, aux = world
         net = probe_net(model, activation, seed)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if kind == "auxiliary":
-            params = estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
-                                               rng)
+        params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
 
-            def batch_for_label(label, size):
-                return aux.xs[one_probe(aux.class_indices(label), size, reference_rng)]
-        else:
-            params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
-
-            def batch_for_label(_label, size):
-                if kind == "uniform_random":
-                    return reference_rng.random((size, 64))
-                return np.full((size, 64), 0.0 if kind == "zeros" else 1.0)
+        def batch_for_label(_label, size):
+            if kind == "uniform_random":
+                return reference_rng.random((size, 64))
+            return np.full((size, 64), 0.0 if kind == "zeros" else 1.0)
         probes = 1 if kind in ("zeros", "ones") else IMPACT_BATCHES
         impact, offsets = probed_one_forward_per_probe(net, batch_size, batch_for_label, probes)
         assert np.allclose(params.impact, impact, rtol=1e-9, atol=0)
@@ -344,20 +322,15 @@ class TestProbeRowSums:
     @given(model=st.sampled_from(["mlp", "cnn"]),
            activation=st.sampled_from(["sigmoid", "relu"]),
            batch_size=st.integers(1, 128),
-           kind=st.sampled_from(["zeros", "ones", "uniform_random", "auxiliary"]),
+           kind=st.sampled_from(["zeros", "ones", "uniform_random"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_estimates_equal_the_probe_loops_bit_for_bit(self, world, model, activation,
-                                                         batch_size, kind, seed):
-        _, aux = world
+    def test_estimates_equal_the_probe_loops_bit_for_bit(self, model, activation, batch_size,
+                                                         kind, seed):
         net = probe_net(model, activation, seed)
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if kind == "auxiliary":
-            params = estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
-                                               rng)
-        else:
-            params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
+        params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
         impact, offsets = loop_estimates(net.n_classes, batch_size,
-                                         loop_rows_for_label(net, kind, aux, loop_rng))
+                                         loop_rows_for_label(net, kind, loop_rng))
         assert params.impact == impact
         assert params.offsets.tobytes() == offsets.tobytes()
         assert rng.random() == loop_rng.random()
@@ -370,7 +343,7 @@ class TestProbeRowSums:
         real = attack.gradient_row_sums
         monkeypatch.setattr(attack, "gradient_row_sums",
                             lambda *args: calls.append(len(args[1])) or real(*args))
-        estimate_params_auxiliary(*held_out(net, aux), aux, 8, 8, np.random.default_rng(0))
+        estimate_params_auxiliary(*held_out(net, aux), aux, 8, 8)
         assert calls == [len(aux)]
         for kind in ("zeros", "ones"):
             calls.clear()
@@ -391,193 +364,57 @@ class TestProbeRowSums:
             forward_rows(net, np.array([[1e308]]), np.array([1]))
 
 
-class CountingTakes(np.ndarray):
-    """A row table that records every take() gather made from it."""
-
-    takes: list
-
-    def take(self, *args, **kwargs):
-        self.takes.append(args)
-        return super().take(*args, **kwargs).view(np.ndarray)
-
-
-class Recording:
-    """A generator that records the name and arguments of every call."""
-
-    def __init__(self, rng, calls):
-        self.rng, self.calls = rng, calls
-
-    def __getattr__(self, name):
-        method = getattr(self.rng, name)
-        return lambda *args: self.calls.append((name, args)) or method(*args)
-
-
-def draw_table(pool, size, count, rng):
-    """One (count, size) probe table of pool on its own."""
-    return attack._probe_indices([pool], [(1, size, count)], rng)[0]
-
-
-class TestProbeTables:
+class TestClassMeanEstimate:
     @settings(deadline=None, max_examples=60)
-    @given(batch_size=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
-    def test_one_gather_per_table_equals_a_gather_per_probe(self, world, batch_size, seed):
-        # the oracle draws one probe at a time, in the estimator's order, and
-        # gathers and averages each probe's rows on its own; the estimator
-        # gathers the impact probes' own-label entries once and each offset
-        # size's rows once
-        _, aux = world
-        rows = np.random.default_rng(seed).normal(size=(len(aux), 10))
-        table = rows.view(CountingTakes)
-        table.takes = []
-        means = []
-        real_means = attack._probe_means
-        with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(attack, "gradient_row_sums", lambda *args: table)
-            patched.setattr(attack, "_probe_means",
-                            lambda *args: means.append(real_means(*args)) or means[-1])
-            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            estimate_params_auxiliary(np.zeros((len(aux), 10)), np.zeros((len(aux), 4)), aux,
-                                      batch_size, batch_size, rng)
-
-        def probe_mean(label, size):
-            return rows[one_probe(aux.class_indices(label), size, loop_rng)].mean(axis=0)
-
-        labels = range(1, 11)
-        looped = (np.array([[probe_mean(label, batch_size)[label - 1]
-                             for _ in range(IMPACT_BATCHES)] for label in labels]),
-                  np.array([[probe_mean(label, size) for label in labels]
-                            for size in OFFSET_BATCH_SIZES]))
-        for got, expected in zip(means[0], looped, strict=True):
-            assert type(got) is np.ndarray
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-        assert len(table.takes) == 1 + len(OFFSET_BATCH_SIZES)
-        assert rng.random() == loop_rng.random()
-
-    @settings(deadline=None, max_examples=300)
-    @given(pool_size=st.integers(1, 150), size=st.integers(1, 300), count=st.integers(1, 12),
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           pool_sizes=st.lists(st.integers(1, 150), min_size=10, max_size=10),
            seed=st.integers(0, 2**32 - 1))
-    def test_one_draw_per_table_equals_a_draw_per_probe(self, pool_size, size, count, seed):
-        # with replacement (size > pool) one integers draw stands for count
-        # rng.choice calls, and without it one (count, pool) key table for
-        # count key rows; the generator's state after them is the same
-        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
-            10_000, size=pool_size, replace=False))
-        drawn = draw_table(pool, size, count, rng)
-        looped = np.stack([one_probe(pool, size, loop_rng) for _ in range(count)])
-        assert drawn.shape == (count, size)
-        assert drawn.dtype == looped.dtype
-        assert np.array_equal(drawn, looped)
-        assert rng.bit_generator.state == loop_rng.bit_generator.state
-        assert rng.random() == loop_rng.random()
-
-    @settings(deadline=None, max_examples=300)
-    @given(lengths=st.lists(st.one_of(st.sampled_from([3, 100]), st.integers(1, 150)),
-                            min_size=1, max_size=4),
-           data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_a_draw_per_run_equals_a_draw_per_table(self, lengths, data, seed):
-        # pools of unequal lengths, probes with and without replacement: one
-        # call per run of tables that draw alike gives every table's indices
-        # and leaves the generator where one call per table would
-        pools = [np.sort(np.random.default_rng([seed, k]).choice(10_000, size=length,
-                                                                 replace=False))
-                 for k, length in enumerate(lengths)]
-        tables = data.draw(st.lists(
-            st.tuples(st.integers(1, len(pools)),
-                      st.one_of(st.sampled_from([2, 8, 32, 128]), st.integers(1, 300)),
-                      st.integers(1, 12)),
-            min_size=1, max_size=12))
-        calls = []
-        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = attack._probe_indices(pools, tables, Recording(rng, calls))
-        assert len(drawn) == len(tables)
-        for got, (label, size, count) in zip(drawn, tables):
-            looped = np.stack([one_probe(pools[label - 1], size, loop_rng)
-                               for _ in range(count)])
-            assert got.dtype == looped.dtype
-            assert np.array_equal(got, looped)
-        assert rng.bit_generator.state == loop_rng.bit_generator.state
-
-        def draws_alike(table):
-            length = len(pools[table[0] - 1])
-            return length, table[1] if table[1] > length else 0
-
-        runs = 1 + sum(draws_alike(a) != draws_alike(b) for a, b in zip(tables, tables[1:]))
-        assert len(calls) == runs
-
-    @settings(deadline=None, max_examples=300)
-    @given(pool_size=st.integers(1, 150), data=st.data(), count=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1))
-    def test_a_probe_without_replacement_holds_distinct_pool_entries(self, pool_size, data,
-                                                                     count, seed):
-        size = data.draw(st.integers(1, pool_size))
-        pool = np.sort(np.random.default_rng(~seed & 0xFFFFFFFF).choice(
-            10_000, size=pool_size, replace=False))
-        for probe in draw_table(pool, size, count, np.random.default_rng(seed)):
-            assert len(np.unique(probe)) == size
-            assert np.isin(probe, pool).all()
-
-    def test_every_pool_entry_is_drawn_at_its_expected_rate(self):
-        # each of 2,000 probes takes 10 of 50 entries, so an entry's count is
-        # Binomial(2000, 0.2): 400 expected, standard deviation about 17.9
-        pool = np.arange(1000, 1050) * 3
-        probes, size = 2000, 10
-        drawn = draw_table(pool, size, probes, np.random.default_rng(20))
-        counts = np.array([np.count_nonzero(drawn == entry) for entry in pool])
-        p = size / len(pool)
-        expected, sd = probes * p, np.sqrt(probes * p * (1 - p))
-        assert counts.sum() == probes * size
-        assert np.all(np.abs(counts - expected) <= 5 * sd)
-
-    @pytest.mark.parametrize("batch_size", [1, 8, 64, 128])
-    def test_an_estimate_makes_one_generator_call_per_table(self, world, batch_size):
-        # 10 impact tables and 3 x 10 single-probe offset tables, and every
-        # class pool of the held-out set holds 100 samples: the tables that
-        # sort keys share one (130, 100) key draw; at B = 128 the impact
-        # probes outgrow their pools and share one integers draw, and the
-        # offset tables one (30, 100) key draw
-        _, aux = world
-        assert {len(aux.class_indices(label)) for label in range(1, 11)} == {100}
-        calls = []
-        net = mlp(64, 10, seed=44)
-        estimate_params_auxiliary(*held_out(net, aux), aux, batch_size, batch_size,
-                                  Recording(np.random.default_rng(0), calls))
-        if batch_size <= 100:
-            assert calls == [("random", ((130, 100),))]
-        else:
-            assert calls == [("integers", (0, 100, (100, batch_size))),
-                             ("random", ((30, 100),))]
+    def test_estimate_is_params_of_the_class_mean_rows(self, world, model, activation,
+                                                       pool_sizes, seed):
+        # class pools of uneven sizes, drawn from the held-out set's classes
+        # with repeats and shuffled; the estimate must not depend on the
+        # order of the auxiliary rows
+        _, test = world
+        rng = np.random.default_rng(seed)
+        picks = np.concatenate([rng.choice(test.class_indices(label), size=size)
+                                for label, size in enumerate(pool_sizes, start=1)])
+        aux = test.subset(rng.permutation(picks))
+        net = probe_net(model, activation, seed)
+        logits, penultimate = held_out(net, aux)
+        rows = gradient_row_sums(logits, penultimate, aux.ys)
+        order = rng.permutation(len(aux))
+        for batch_size in VALID_BATCH_SIZES:
+            params = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size)
+            expected = class_mean_params(rows, aux.ys, 10, batch_size)
+            permuted = estimate_params_auxiliary(logits[order], penultimate[order],
+                                                 aux.subset(order), batch_size, batch_size)
+            for got in (params, permuted):
+                np.testing.assert_allclose(got.impact, expected.impact, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got.offsets, expected.offsets, rtol=1e-12, atol=0)
 
 
 class TestClosedFormExpectation:
     @pytest.mark.parametrize("batch_size", [1, 8, 128])
     def test_sampled_estimates_centre_on_the_class_mean_rows(self, batch_size):
-        # _params is linear in the probe means, and a probe mean's
-        # expectation, drawn with or without replacement (B = 128 outgrows
-        # the 100-sample pools), is its class's mean row. So the expected
-        # estimate is _params of the per-class mean rows M, passed as the
-        # zeros path passes its rows; the sample means of 400 estimates must
-        # lie within 4 standard errors of it
+        # the paper's sampled estimator is the oracle: _params is linear in
+        # the probe means, and a probe mean's expectation, drawn with or
+        # without replacement (B = 128 outgrows the 100-sample pools), is
+        # its class's mean row. So the sample means of 400 sampled estimates
+        # must lie within 4 standard errors of the closed-form estimate
         _, aux = synth_generate(SyntheticSpec(seed=7))
         net = mlp(64, 10, seed=3)
         logits, penultimate = held_out(net, aux)
-        n, draws = net.n_classes, 400
+        closed = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size)
         rows = gradient_row_sums(logits, penultimate, aux.ys)
-        onehot = (aux.ys[:, None] == np.arange(1, n + 1)).astype(np.float64)
-        means = onehot.T @ rows / onehot.sum(axis=0)[:, None]
-        expected = attack._params(np.repeat(means.diagonal()[:, None], IMPACT_BATCHES, axis=1),
-                                  np.broadcast_to(means, (len(OFFSET_BATCH_SIZES), n, n)),
-                                  batch_size, batch_size)
-        rng = np.random.default_rng(7)
-        estimates = [estimate_params_auxiliary(logits, penultimate, aux, batch_size,
-                                               batch_size, rng) for _ in range(draws)]
-        impacts = np.array([params.impact for params in estimates])
-        offsets = np.stack([params.offsets for params in estimates])
-        for sampled, closed in ((impacts, expected.impact), (offsets, expected.offsets)):
+        rng, draws = np.random.default_rng(7), 400
+        estimates = [sampled_auxiliary(rows, aux, batch_size, rng) for _ in range(draws)]
+        impacts = np.array([impact for impact, _ in estimates])
+        offsets = np.stack([offsets for _, offsets in estimates])
+        for sampled, expected in ((impacts, closed.impact), (offsets, closed.offsets)):
             standard_error = sampled.std(axis=0, ddof=1) / np.sqrt(draws)
             assert np.all(standard_error > 0)
-            assert np.all(np.abs(sampled.mean(axis=0) - closed) <= 4 * standard_error)
+            assert np.all(np.abs(sampled.mean(axis=0) - expected) <= 4 * standard_error)
 
 
 class TestSharedHeldOutForward:
@@ -599,13 +436,15 @@ class TestSharedHeldOutForward:
         if tied >= 2:
             tie_head(net, rng.choice(10, size=tied, replace=False))
         logits, penultimate = held_out(net, aux)
-        assert np.array_equal(gradient_row_sums(logits, penultimate, aux.ys),
-                              network_row_sums(net, aux.xs, aux.ys))
-        params = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size,
-                                           np.random.default_rng(seed))
-        impact, offsets = network_auxiliary(net, aux, batch_size, np.random.default_rng(seed))
-        assert params.impact == impact
-        assert params.offsets.tobytes() == offsets.tobytes()
+        network_rows = network_row_sums(net, aux.xs, aux.ys)
+        assert np.array_equal(gradient_row_sums(logits, penultimate, aux.ys), network_rows)
+        params = estimate_params_auxiliary(logits, penultimate, aux, batch_size, batch_size)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(attack, "gradient_row_sums", lambda *args: network_rows)
+            network = estimate_params_auxiliary(logits, penultimate, aux, batch_size,
+                                                batch_size)
+        assert params.impact == network.impact
+        assert params.offsets.tobytes() == network.offsets.tobytes()
 
 
 class TestEstimatorsLeaveTheModelAlone:
@@ -618,7 +457,7 @@ class TestEstimatorsLeaveTheModelAlone:
         rng = np.random.default_rng(41)
         for dummy_kind in ("zeros", "uniform_random"):
             estimate_params_whitebox(net, 8, 8, dummy_kind=dummy_kind, rng=rng)
-        estimate_params_auxiliary(*held_out(net, test), test, 8, 8, rng)
+        estimate_params_auxiliary(*held_out(net, test), test, 8, 8)
         assert net.params.tobytes() == before.tobytes()
         assert net._version == version
 
@@ -629,29 +468,25 @@ class TestAuxiliaryEstimation:
         partial = test.subset(np.flatnonzero(test.ys != 3))
         net = mlp(64, 10, seed=33)
         with pytest.raises(ValueError, match="no samples of class 3"):
-            estimate_params_auxiliary(*held_out(net, partial), partial, 8, 8,
-                                      np.random.default_rng(0))
+            estimate_params_auxiliary(*held_out(net, partial), partial, 8, 8)
 
     def test_logits_that_are_not_a_matrix_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=34), test)
         with pytest.raises(ValueError, match=r"logits must be \(B, n\)"):
-            estimate_params_auxiliary(logits[:, 0], penultimate, test, 8, 8,
-                                      np.random.default_rng(0))
+            estimate_params_auxiliary(logits[:, 0], penultimate, test, 8, 8)
 
     def test_logits_and_activations_of_different_lengths_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=35), test)
         with pytest.raises(ValueError, match="1000 logit rows but 999 penultimate rows"):
-            estimate_params_auxiliary(logits, penultimate[1:], test, 8, 8,
-                                      np.random.default_rng(0))
+            estimate_params_auxiliary(logits, penultimate[1:], test, 8, 8)
 
     def test_forward_pass_of_another_set_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=36), test)
         with pytest.raises(ValueError, match="999 forward rows for 1000 auxiliary samples"):
-            estimate_params_auxiliary(logits[1:], penultimate[1:], test, 8, 8,
-                                      np.random.default_rng(0))
+            estimate_params_auxiliary(logits[1:], penultimate[1:], test, 8, 8)
 
     @pytest.mark.parametrize("batch_size", [2, 8, 32, 128])
     def test_calibrated_gradients_track_label_counts(self, world, batch_size):
@@ -665,7 +500,7 @@ class TestAuxiliaryEstimation:
             xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
             params = estimate_params_auxiliary(*held_out(net, test), test, batch_size,
-                                               batch_size, rng)
+                                               batch_size)
             calibrated.extend(update.last_layer().g - params.offsets)
             lam.extend(LabelMultiset.from_labels(ys, 10).counts)
         rho = pearson(np.array(calibrated), np.array(lam, dtype=float))
@@ -681,7 +516,7 @@ class TestAuxiliaryEstimation:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
+            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32)
             aux_scores.append(attack_success_rate(llg_extract(last, plus), truth))
             try:
                 base = AttackParams(estimate_impact_shared(last), np.zeros(10), 32)
@@ -839,7 +674,7 @@ class TestExtraction:
             xs, ys = make_batch(train, BatchSpec(8, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
-            params = estimate_params_auxiliary(*held_out(net, test), test, 8, 8, rng)
+            params = estimate_params_auxiliary(*held_out(net, test), test, 8, 8)
             if llg_extract(update.last_layer(), params) == truth:
                 exact += 1
         assert exact >= 95
@@ -889,7 +724,7 @@ class TestAttackOrdering:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32, rng)
+            plus = estimate_params_auxiliary(*held_out(net, test), test, 32, 32)
             scores["llg_plus"].append(attack_success_rate(llg_extract(last, plus), truth))
             try:
                 base = AttackParams(estimate_impact_shared(last), np.zeros(10), 32)

@@ -265,6 +265,42 @@ class TestCompression:
                 compress(random_grads(net, np.random.default_rng(0)), residual, theta)
         assert not residual.vector.any()
 
+    def test_stacked_residual_rejected_before_it_is_touched(self):
+        # a (2, P) residual would broadcast a (P,) update into both rows
+        # before np.partition failed on its size
+        net = mlp(8, 3, seed=9)
+        rng = np.random.default_rng(1)
+        residual = Gradients(rng.normal(size=(2, net.params.size)), net.layout)
+        before = residual.vector.tobytes()
+        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
+        shapes = rf"residual of shape \(2, {net.params.size}\).*\({net.params.size},\)"
+        with pytest.raises(ValueError, match=shapes):
+            compress(update.gradients, residual, 0.5)
+        with pytest.raises(ValueError, match=shapes):
+            apply_defense(update, DefenseSpec("compress", theta=0.5), None, residual)
+        assert residual.vector.tobytes() == before
+
+    def test_residual_of_another_network_rejected_before_it_is_touched(self):
+        net, other = mlp(8, 3, seed=9), mlp(12, 3, seed=9)
+        residual = random_grads(other, np.random.default_rng(2))
+        before = residual.vector.tobytes()
+        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
+        shapes = rf"residual of shape \({other.params.size},\).*\({net.params.size},\)"
+        with pytest.raises(ValueError, match=shapes):
+            apply_defense(update, DefenseSpec("compress", theta=0.5), None, residual)
+        assert residual.vector.tobytes() == before
+
+    def test_residual_of_another_layout_rejected(self):
+        # one parameter count, two layouts: the vector shapes agree
+        net = mlp(8, 3, seed=9)
+        layout = ((net.params.size,),)
+        assert layout != net.layout
+        residual = Gradients(np.zeros(net.params.size), layout)
+        update = local_train_fedsgd(net, np.zeros((2, 8)), [1, 2])
+        with pytest.raises(ValueError, match="layout"):
+            compress(update.gradients, residual, 0.5)
+        assert not residual.vector.any()
+
 
 class TestDefenseSpec:
     def test_labels_are_stable(self):
@@ -345,7 +381,7 @@ def llg_plus_asr(train, test, batch_size, defense, trials, activation="sigmoid")
         truth = LabelMultiset.from_labels(ys, 10)
         logits, cache = net.forward(test.xs)
         params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
-                                           update.sample_count, rng)
+                                           update.sample_count)
         if defense is not None:
             residual = Gradients.zeros_for(net) if defense.kind == "compress" else None
             update = apply_defense(update, defense, rng, residual)

@@ -444,14 +444,14 @@ class TestRunExperiment:
         assert streams(rounds) == (3 * 2 if draws else 0)
 
     @pytest.mark.parametrize("dummy_kind, drawing", [
-        ("zeros", ("llg_plus", "random")),
-        ("ones", ("llg_plus", "random")),
-        ("uniform_random", ("llg_star", "llg_plus", "random")),
+        ("zeros", ("random",)),
+        ("ones", ("random",)),
+        ("uniform_random", ("llg_star", "random")),
     ])
     def test_attack_stream_built_only_for_attacks_that_draw(self, monkeypatch, dummy_kind,
                                                             drawing):
         # an attack's stream is keyed by its own index, so building none for
-        # llg and for llg_star's fixed dummies moves no other stream
+        # llg, llg_plus and llg_star's fixed dummies moves no other stream
         built = []
         rng_for = experiments.rng_for
         monkeypatch.setattr(experiments, "rng_for",
