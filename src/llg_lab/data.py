@@ -8,6 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .labels import integer_labels
+
 
 @dataclass
 class ClientDataset:
@@ -19,7 +21,7 @@ class ClientDataset:
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
-        self.ys = np.asarray(self.ys, dtype=np.int64)
+        self.ys = integer_labels(self.ys)
         if len(self.xs) == 0:
             raise ValueError("dataset must be non-empty")
         if len(self.xs) != len(self.ys):

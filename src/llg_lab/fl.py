@@ -8,6 +8,8 @@ FedAvg) plus the number of samples that produced it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +45,6 @@ class BatchSpec:
                              f"got {self.balance!r}")
 
 
-def _draw_from(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    # the draws of rng.choice(pool, count, replace=...) without its array
-    # handling: the same entries, and the generator left in the same state
-    if count > len(pool):  # fall back to replacement only when the class pool is too small
-        return pool[rng.integers(0, len(pool), size=count)]
-    return pool[rng.choice(len(pool), size=count, replace=False)]
-
-
 def _present_labels(dataset: ClientDataset) -> np.ndarray:
     present = dataset.present_labels
     if len(present) < 2:
@@ -58,38 +52,115 @@ def _present_labels(dataset: ClientDataset) -> np.ndarray:
     return present
 
 
-def _draw_pair(present: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # rng.choice(present, size=2, replace=False), read by index as in _draw_from
-    return present[rng.choice(len(present), size=2, replace=False)]
+@functools.cache
+def _choice_bounds(n: int, count: int) -> np.ndarray:
+    """The inclusive bound of each draw that rng.choice(n, count,
+    replace=count > n) makes, in order, as a read-only array.
+
+    numpy makes these draws, and those of rng.integers(0, highs) for an
+    array of highs, one at a time through one bounded-draw routine. So
+    rng.integers(0, bounds + 1) makes the same draws in one call and leaves
+    the generator in the same state; a bound of 0 draws nothing.
+
+    With replacement that is count draws in [0, n - 1]. Without, numpy runs
+    Floyd's algorithm, one draw in [0, j] for j = n - count ... n - 1, then
+    shuffles its picks with one draw in [0, i] for i = count - 1 ... 1. Its
+    other path, a tail shuffle, needs n > 10,000 and count > n // 50, which
+    no count up to 64 (half of the largest batch) meets.
+    """
+    if count > n:
+        bounds = np.full(count, n - 1, dtype=np.int64)
+    else:
+        bounds = np.concatenate([np.arange(n - count, n), np.arange(count - 1, 0, -1)])
+    bounds.setflags(write=False)
+    return bounds
 
 
-def _unbalanced_indices(dataset: ClientDataset, size: int, dominant, secondary,
-                        rng: np.random.Generator) -> np.ndarray:
+def _choice_picks(n: int, count: int, draws) -> list[int]:
+    """rng.choice(n, count, replace=count > n) from its draws: takes the
+    len(_choice_bounds(n, count)) draws it needs from the iterator draws and
+    applies Floyd's repeat rule (a value drawn before is replaced by j) and
+    the shuffle's swaps to them."""
+    picks = list(itertools.islice(draws, count))
+    if count > n:
+        return picks
+    seen: set[int] = set()
+    for pos, value in enumerate(picks):
+        if value in seen:
+            picks[pos] = value = n - count + pos
+        seen.add(value)
+    for i, k in zip(range(count - 1, 0, -1), draws):
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
+
+
+@functools.cache
+def _step_highs(dominant: int, secondary: int, rows: int, size: int, others: int) -> np.ndarray:
+    """The exclusive highs of one unbalanced step's draws, in order: the
+    choices from the dominant and the secondary pool (of those sizes), the
+    free rows out of all rows, then, when others > 0, the next step's
+    secondary label out of others."""
     n_dom, n_sec = size // 2, size // 4
-    return np.concatenate([
-        _draw_from(dataset.class_indices(dominant), n_dom, rng),
-        _draw_from(dataset.class_indices(secondary), n_sec, rng),
-        rng.integers(0, len(dataset), size=size - n_dom - n_sec),
-    ])
+    highs = 1 + np.concatenate([_choice_bounds(dominant, n_dom),
+                                _choice_bounds(secondary, n_sec),
+                                np.full(size - n_dom - n_sec, rows - 1),
+                                np.full(1 if others else 0, others - 1)])
+    highs.setflags(write=False)
+    return highs
+
+
+def _round_indices(dataset: ClientDataset, spec: BatchSpec, gamma: int,
+                   rng: np.random.Generator,
+                   pair: tuple[int, int] | None = None) -> np.ndarray:
+    """One client's (gamma, B) row indices for a FedAvg round, drawn in the
+    order a make_batch per step would draw them.
+
+    The round keeps one dominant label (the client's data skew); the
+    secondary is redrawn per batch. The first pair is drawn exactly like
+    make_batch would, unless pair gives it, so gamma=1 is make_batch's draw.
+    A balanced round is one generator call; an unbalanced one is one for
+    the pair (none when pair is given), then one per step, which also draws
+    the next step's secondary.
+    """
+    size = spec.size
+    if spec.balance == "balanced":
+        return rng.integers(0, len(dataset), size=(gamma, size))
+    present = _present_labels(dataset)
+    if pair is None:
+        bounds = _choice_bounds(len(present), 2)
+        pair = present[_choice_picks(len(present), 2, iter(rng.integers(0, bounds + 1).tolist()))]
+    dominant, secondary = pair
+    others = present[present != dominant]
+    n_dom, n_sec = size // 2, size // 4
+    pool = dataset.class_indices(dominant)
+    table = np.empty((gamma, size), dtype=np.int64)
+    for step in range(gamma):
+        second = dataset.class_indices(secondary)
+        more = len(others) if step < gamma - 1 else 0
+        draws = iter(rng.integers(0, _step_highs(len(pool), len(second), len(dataset),
+                                                 size, more)).tolist())
+        row = table[step]
+        row[:n_dom] = pool[_choice_picks(len(pool), n_dom, draws)]
+        row[n_dom:n_dom + n_sec] = second[_choice_picks(len(second), n_sec, draws)]
+        row[n_dom + n_sec:] = list(itertools.islice(draws, size - n_dom - n_sec))
+        if more:
+            secondary = others[next(draws)]  # rng.choice(others)
+    return table
 
 
 def batch_indices(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
                   pair: tuple[int, int] | None = None) -> np.ndarray:
-    """The row indices of one batch: make_batch's draws without its gather."""
-    if spec.balance == "balanced":
-        if pair is not None:
+    """The row indices of one batch: make_batch's draws without its gather,
+    a round of one step."""
+    if pair is not None:
+        if spec.balance == "balanced":
             raise ValueError("a balanced batch takes no label pair")
-        return rng.integers(0, len(dataset), size=spec.size)
-    present = _present_labels(dataset)
-    if pair is None:
-        pair = _draw_pair(present, rng)
-    dominant, secondary = pair
-    if dominant == secondary:
-        raise ValueError("dominant and secondary labels must differ")
-    for label in pair:
-        if not len(dataset.class_indices(label)):
-            raise ValueError(f"pair label {int(label)} is absent from the dataset")
-    return _unbalanced_indices(dataset, spec.size, dominant, secondary, rng)
+        if pair[0] == pair[1]:
+            raise ValueError("dominant and secondary labels must differ")
+        for label in pair:
+            if not len(dataset.class_indices(label)):
+                raise ValueError(f"pair label {int(label)} is absent from the dataset")
+    return _round_indices(dataset, spec, 1, rng, pair)[0]
 
 
 def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
@@ -102,28 +173,6 @@ def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator
     """
     idx = batch_indices(dataset, spec, rng, pair)
     return dataset.xs[idx], dataset.ys[idx]
-
-
-def _round_indices(dataset: ClientDataset, spec: BatchSpec, gamma: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One client's (gamma, B) row indices for a FedAvg round, drawn in the
-    order a make_batch per step would draw them.
-
-    The round keeps one dominant label (the client's data skew); the
-    secondary is redrawn per batch. The first pair is drawn exactly like
-    make_batch would, so gamma=1 is bit-identical to FedSGD.
-    """
-    if spec.balance == "balanced":
-        return np.stack([batch_indices(dataset, spec, rng) for _ in range(gamma)])
-    present = _present_labels(dataset)
-    dominant, secondary = _draw_pair(present, rng)
-    others = present[present != dominant]
-    table = np.empty((gamma, spec.size), dtype=np.int64)
-    for step in range(gamma):
-        if step > 0:
-            secondary = others[rng.integers(len(others))]  # rng.choice(others)
-        table[step] = _unbalanced_indices(dataset, spec.size, dominant, secondary, rng)
-    return table
 
 
 @dataclass
@@ -174,9 +223,8 @@ def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchS
     # each client draws its whole round, then one gather per client gives
     # (gamma, K, B, ...) arrays whose step s is the stacked (K, B, ...) batch
     tables = [_round_indices(dataset, spec, gamma, rng) for dataset, rng in zip(datasets, rngs)]
-    seen = [dataset.ys[table] for dataset, table in zip(datasets, tables)]
     batches = np.stack([dataset.xs[table] for dataset, table in zip(datasets, tables)], axis=1)
-    labels = np.stack(seen, axis=1)
+    labels = np.stack([dataset.ys[table] for dataset, table in zip(datasets, tables)], axis=1)
     local = net.replicas(len(datasets))
     accumulated: Gradients | None = None
     for step in range(gamma):
@@ -185,9 +233,13 @@ def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchS
         accumulated = grads if accumulated is None else accumulated.add_(grads)
         if step < gamma - 1:  # a step after the last gradient is never read
             local.sgd_step(grads, eta)
-    return [(RoundUpdate(accumulated.like(row), gamma * spec.size),
-             LabelMultiset.from_labels(client_labels.ravel(), net.n_classes))
-            for row, client_labels in zip(accumulated.vector, seen)]
+    # every client's truth in one count, client c's labels offset by c * n;
+    # output_gradient has checked every label against n
+    n, clients = net.n_classes, len(datasets)
+    offset = labels - 1 + n * np.arange(clients)[:, None]
+    truths = np.bincount(offset.ravel(), minlength=clients * n).reshape(clients, n)
+    return [(RoundUpdate(accumulated.like(row), gamma * spec.size), LabelMultiset(counts))
+            for row, counts in zip(accumulated.vector, truths)]
 
 
 def server_aggregate(updates: list[RoundUpdate], global_net: Network, eta: float) -> Network:

@@ -7,6 +7,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def integer_labels(labels) -> np.ndarray:
+    """labels as an int64 array, checked to be integers.
+
+    Integer arrays load as they are and float arrays of whole numbers, such
+    as 3.0, as those integers. A boolean, non-finite or fractional label
+    raises ValueError naming the first one: a cast would truncate 1.9 to 1
+    and read True as label 1.
+    """
+    arr = np.asarray(labels)
+    if arr.dtype.kind in "iu" or not arr.size:
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "b":
+        pos, why = 0, "boolean"
+    else:
+        values = arr.astype(np.float64)
+        bad = ~np.isfinite(values) | (values != np.floor(values))
+        if not bad.any():
+            return values.astype(np.int64)
+        pos = int(np.argmax(bad))
+        why = "fractional" if np.isfinite(values.flat[pos]) else "not finite"
+    where = pos if arr.ndim <= 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))
+    raise ValueError(f"labels must be integers; label {arr.flat[pos].item()!r} "
+                     f"at index {where} is {why}")
+
+
 @dataclass(eq=False)
 class LabelMultiset:
     """counts[i] is the number of occurrences of label i + 1."""
@@ -22,7 +47,7 @@ class LabelMultiset:
 
     @classmethod
     def from_labels(cls, labels, n_classes: int) -> "LabelMultiset":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = integer_labels(labels)
         if labels.size and (labels.min() < 1 or labels.max() > n_classes):
             raise ValueError(f"labels must lie in [1, {n_classes}]")
         return cls(np.bincount(labels - 1, minlength=n_classes))

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .labels import integer_labels
+
 __all__ = [
     "Activation",
     "Cache",
@@ -89,11 +91,12 @@ class Dense:
         y += self.b[..., None, :]
         return y, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad: bool = True):
+        """(dx, (dW, db)); dx is None when input_grad is False."""
         x = cache
         dW = dy.swapaxes(-1, -2) @ x
         db = dy.sum(axis=-2)
-        dx = dy @ self.W
+        dx = dy @ self.W if input_grad else None
         return dx, (dW, db)
 
 
@@ -176,7 +179,8 @@ class Conv2D:
         values, into a fresh C-contiguous (..., B, ho*wo, C*k*k) array."""
         return flat_x.take(_patch_index(channels, h, w, self.kernel, self.stride), axis=-1)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad: bool = True):
+        """(dx, (dW, db)); dx is None when input_grad is False."""
         x_shape, flat_x = cache
         *batch, channels, h, w = x_shape
         patches = self._patches(flat_x, channels, h, w)
@@ -189,6 +193,8 @@ class Conv2D:
         dW = dy_rows @ patches.reshape(*lead, -1, patches.shape[-1])
         dW = dW.reshape(self.W.shape)
         db = dy.sum(axis=(-4, -2, -1))
+        if not input_grad:
+            return None, (dW, db)
         flat_w = self.W.reshape(*self.W.shape[:-4], 1, self.out_channels, -1)
         dpatches = dy_flat.swapaxes(-1, -2) @ flat_w
         dpat = np.moveaxis(dpatches.reshape(*batch, ho, wo, channels, k, k), -3, -5)
@@ -449,10 +455,14 @@ class Network:
                 f"output gradient of shape {d.shape} does not match "
                 f"{(*lead, cache.batch_size, self.n_classes)}"
             )
+        # nothing reads the gradient of the network's input, so the walk
+        # stops at the first parameterized layer and asks it for none
+        first = next(i for i, shapes in enumerate(self.layout) if shapes is not None)
         by_layer: list = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            d, grads = self.layers[i].backward(cache.layer_caches[i], d)
-            by_layer[i] = grads
+        for i in range(len(self.layers) - 1, first, -1):
+            d, by_layer[i] = self.layers[i].backward(cache.layer_caches[i], d)
+        _, by_layer[first] = self.layers[first].backward(cache.layer_caches[first], d,
+                                                         input_grad=False)
         vector = np.concatenate([arr.reshape(*lead, -1) for grads in by_layer
                                  if grads is not None for arr in grads],
                                 axis=-1, dtype=np.float64)
@@ -478,12 +488,12 @@ def _shallow(layer):
 
 
 def _check_labels(labels, n_classes: int, shape: tuple) -> np.ndarray:
-    labels = np.asarray(labels)
+    labels = integer_labels(labels)
     if labels.shape != shape:
         raise ValueError(f"expected labels of shape {shape}, got shape {labels.shape}")
     if labels.size and (labels.min() < 1 or labels.max() > n_classes):
         raise ValueError(f"labels must lie in [1, {n_classes}]")
-    return labels.astype(np.int64)
+    return labels
 
 
 def output_gradient(logits: np.ndarray, labels) -> np.ndarray:

@@ -157,10 +157,53 @@ def same_state(a, b):
     return a.bit_generator.state == b.bit_generator.state
 
 
+def picks_from_one_call(n, count, rng):
+    """fl._choice_picks over the draws of one integers(0, highs) call, all
+    of which it must use."""
+    draws = iter(rng.integers(0, fl._choice_bounds(n, count) + 1).tolist())
+    picks = fl._choice_picks(n, count, draws)
+    assert next(draws, None) is None
+    return picks
+
+
+@st.composite
+def sizes_and_counts(draw):
+    # n past numpy's tail-shuffle threshold (10,000), count up to 64 (half of
+    # the largest batch); count = n and count > n drawn as often as any
+    n = draw(st.one_of(st.just(1), st.integers(1, 80), st.integers(1, 40_000)))
+    counts = [st.integers(0, 64)]
+    if n <= 64:
+        counts.append(st.just(n))
+    if n < 64:
+        counts.append(st.integers(n + 1, 64))
+    return n, draw(st.one_of(counts))
+
+
 class TestDrawRewrites:
-    """Each draw reads Generator.choice's numbers by index, without its
-    array handling: the same entries, and the generator left in the same
-    state, on whatever numpy runs the suite."""
+    """Each draw is made by one Generator.integers(0, highs) call and read
+    as Generator.choice reads its own draws: the same entries, and the
+    generator left in the same state, on whatever numpy runs the suite."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(size_count=sizes_and_counts(), buffered=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size_count=(1, 1), buffered=False, seed=0)
+    @example(size_count=(1, 1), buffered=True, seed=1)
+    @example(size_count=(1, 64), buffered=True, seed=2)
+    @example(size_count=(64, 64), buffered=False, seed=3)
+    @example(size_count=(40_000, 64), buffered=True, seed=4)
+    @example(size_count=(10_001, 64), buffered=False, seed=5)
+    @example(size_count=(70, 0), buffered=True, seed=6)
+    def test_picks_from_one_call_equal_choice(self, size_count, buffered, seed):
+        # a pool of one row draws nothing (bound 0); an earlier integers(0, 7)
+        # leaves half of a 64-bit output buffered for the next bounded draw
+        n, count = size_count
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert rng.integers(0, 7) == ref.integers(0, 7)
+        assert picks_from_one_call(n, count, rng) == ref.choice(n, count,
+                                                                replace=count > n).tolist()
+        assert same_state(rng, ref)
 
     @settings(deadline=None, max_examples=300)
     @given(pool_count=pools_and_counts(), seed=st.integers(0, 2**32 - 1))
@@ -168,10 +211,10 @@ class TestDrawRewrites:
     @example(pool_count=(np.arange(5), 6), seed=1)
     @example(pool_count=(np.array([3]), 128), seed=2)
     @example(pool_count=(np.arange(150), 0), seed=3)
-    def test_draw_from_equals_choice_on_the_pool(self, pool_count, seed):
+    def test_picks_read_from_a_pool_equal_choice_on_the_pool(self, pool_count, seed):
         pool, count = pool_count
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = fl._draw_from(pool, count, rng)
+        drawn = pool[picks_from_one_call(len(pool), count, rng)]
         expected = (np.empty(0, dtype=np.int64) if count == 0 else
                     ref.choice(pool, size=count, replace=count > len(pool)))
         assert drawn.dtype == np.int64
@@ -181,10 +224,10 @@ class TestDrawRewrites:
     @settings(deadline=None, max_examples=200)
     @given(labels=st.lists(st.integers(1, 200), min_size=2, max_size=150, unique=True),
            seed=st.integers(0, 2**32 - 1))
-    def test_pair_equals_choice_on_the_present_labels(self, labels, seed):
+    def test_pair_picks_equal_choice_on_the_present_labels(self, labels, seed):
         present = np.array(sorted(labels), dtype=np.int64)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(fl._draw_pair(present, rng),
+        assert np.array_equal(present[picks_from_one_call(len(present), 2, rng)],
                               ref.choice(present, size=2, replace=False))
         assert same_state(rng, ref)
 
@@ -217,6 +260,57 @@ class TestDrawRewrites:
         assert np.array_equal(batch_indices(part, spec, rng),
                               round_by_choice(part, spec, 1, ref)[0])
         assert same_state(rng, ref)
+
+
+class CountingGenerator:
+    """A Generator that counts the calls made on it, with its own
+    bit_generator so that local_train_fedavg tells clients apart."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestGeneratorCalls:
+    @pytest.mark.parametrize("batch_size", [1, 16, 128])
+    @pytest.mark.parametrize("gamma", [1, 4])
+    @pytest.mark.parametrize("balance", BALANCES)
+    def test_a_client_round_makes_one_call_per_step_plus_the_pair(self, pool, balance, gamma,
+                                                                    batch_size):
+        draw = np.random.default_rng(batch_size + gamma)
+        datasets = [pool.subset(draw.choice(len(pool), size=80, replace=False))
+                    for _ in range(3)]
+        spec = BatchSpec(batch_size, balance)
+        net = mlp(16, 10, hidden=12, seed=3)
+        counting = [CountingGenerator(40 + c) for c in range(3)]
+        results = local_train_fedavg(net, datasets, spec, gamma, 0.1, counting)
+        expected = local_train_fedavg(net, datasets, spec, gamma, 0.1,
+                                      [np.random.default_rng(40 + c) for c in range(3)])
+        assert [rng.calls for rng in counting] == [1 + gamma if balance == "unbalanced"
+                                                   else 1] * 3
+        for (update, truth), (want, want_truth) in zip(results, expected):
+            assert np.array_equal(update.gradients.vector, want.gradients.vector)
+            assert truth == want_truth
+
+    @pytest.mark.parametrize("spec, pair, calls", [
+        (BatchSpec(32, "unbalanced"), None, 2),
+        (BatchSpec(32, "unbalanced"), (3, 7), 1),
+        (BatchSpec(32, "balanced"), None, 1),
+    ])
+    def test_make_batch_makes_at_most_two_calls(self, pool, spec, pair, calls):
+        rng = CountingGenerator(5)
+        make_batch(pool, spec, rng, pair)
+        assert rng.calls == calls
 
 
 class TestFedSgd:

@@ -1,0 +1,44 @@
+"""Label input checks shared by every entry point that reads labels: a
+boolean, non-finite or fractional label is rejected, never truncated."""
+
+import numpy as np
+import pytest
+
+from llg_lab.data import ClientDataset
+from llg_lab.labels import LabelMultiset
+from llg_lab.nn import output_gradient
+
+ENTRY_POINTS = {
+    "LabelMultiset.from_labels": lambda labels: LabelMultiset.from_labels(labels, 3).counts,
+    "ClientDataset": lambda labels: ClientDataset(np.zeros((len(labels), 2)), labels, 3).ys,
+    "output_gradient": lambda labels: output_gradient(np.zeros((len(labels), 3)), labels),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("labels, message", [
+    ([1.9, 2.2], r"label 1\.9 at index 0 is fractional"),
+    ([1, 2.5], r"label 2\.5 at index 1 is fractional"),
+    (np.array([2.0, 1.5], dtype=np.float32), r"label 1\.5 at index 1 is fractional"),
+    ([True, True], "label True at index 0 is boolean"),
+    (np.array([False, True]), "label False at index 0 is boolean"),
+    ([1.0, np.nan], "label nan at index 1 is not finite"),
+    ([np.inf, 2.0], "label inf at index 0 is not finite"),
+], ids=["fractional", "one-fractional", "float32", "bools", "bool-array", "nan", "inf"])
+def test_a_non_integer_label_is_named(entry, labels, message):
+    with pytest.raises(ValueError, match="labels must be integers; " + message):
+        ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_whole_numbers_load_as_the_integers(entry):
+    whole = ENTRY_POINTS[entry]([3.0, 1.0, 1.0])
+    assert whole.dtype == np.float64 if entry == "output_gradient" else whole.dtype == np.int64
+    for same in ([3, 1, 1], np.array([3, 1, 1], dtype=np.uint8),
+                 np.array([3.0, 1.0, 1.0], dtype=np.float32)):
+        assert np.array_equal(ENTRY_POINTS[entry](same), whole)
+
+
+def test_a_stacked_label_is_named_by_its_position():
+    with pytest.raises(ValueError, match=r"label 2\.5 at index \(1, 0\) is fractional"):
+        output_gradient(np.zeros((2, 2, 3)), [[1, 2], [2.5, 3]])

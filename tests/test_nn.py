@@ -557,6 +557,76 @@ class TestBackward:
             net.backward(cache, np.zeros((2, 4)))
 
 
+def full_chain_gradients(net, cache, dlogits):
+    """Every layer's backward, each asked for its input gradient, down to
+    the input; the packing of Network.backward. Kept as the oracle."""
+    d, by_layer = dlogits, []
+    for layer, layer_cache in zip(reversed(net.layers), reversed(cache.layer_caches)):
+        d, grads = layer.backward(layer_cache, d)
+        by_layer.insert(0, grads)
+    lead = net.params.shape[:-1]
+    return np.concatenate([arr.reshape(*lead, -1) for grads in by_layer if grads is not None
+                           for arr in grads], axis=-1)
+
+
+def flatten_first_mlp(seed):
+    rng = np.random.default_rng(seed)
+    layers = [Flatten(), Dense(16, 6, rng), Activation("sigmoid"), Dense(6, 4, rng)]
+    return Network(layers, 4, (1, 4, 4))
+
+
+def activation_first_cnn(seed):
+    rng = np.random.default_rng(seed)
+    layers = [Activation("relu"), Conv2D(1, 2, 3, 1, rng), Activation("sigmoid"), Flatten(),
+              Dense(2 * 4 * 4, 4, rng)]
+    return Network(layers, 4, (1, 6, 6))
+
+
+class TestBackwardStopsAtTheFirstParameterizedLayer:
+    """Nothing reads the input gradient, so Network.backward asks the first
+    parameterized layer for none and runs no layer below it."""
+
+    @pytest.mark.parametrize("replicas", [None, 3])
+    @pytest.mark.parametrize("build", [flatten_first_mlp, activation_first_cnn,
+                                       lambda seed: mlp(16, 4, hidden=5, seed=seed),
+                                       lambda seed: small_cnn((6, 6), 4, channels=2, seed=seed)])
+    def test_gradients_equal_the_full_chain_bit_for_bit(self, build, replicas):
+        net = build(7)
+        if replicas:
+            net = net.replicas(replicas)
+        rng = np.random.default_rng(8)
+        lead = net.params.shape[:-1]
+        x = rng.normal(size=(*lead, 5, *net.input_shape))
+        logits, cache = net.forward(x)
+        dlogits = output_gradient(logits, rng.integers(1, 5, size=(*lead, 5)))
+        calls = []
+        for i, layer in enumerate(net.layers):
+            def spy(layer_cache, dy, *args, _i=i, _backward=layer.backward, **kwargs):
+                calls.append((_i, kwargs.get("input_grad", True)))
+                return _backward(layer_cache, dy, *args, **kwargs)
+            layer.backward = spy
+        grads = net.backward(cache, dlogits)
+        first = next(i for i, layer in enumerate(net.layers) if hasattr(layer, "W"))
+        assert calls == [(i, i != first) for i in range(len(net.layers) - 1, first - 1, -1)]
+        for layer in net.layers:
+            del layer.backward
+        assert np.array_equal(grads.vector, full_chain_gradients(net, cache, dlogits))
+
+    @pytest.mark.parametrize("layer, x", [
+        (Dense(6, 3, np.random.default_rng(1)), np.random.default_rng(2).normal(size=(4, 6))),
+        (Conv2D(2, 3, 3, 2, np.random.default_rng(1)),
+         np.random.default_rng(2).normal(size=(4, 2, 7, 7))),
+    ])
+    def test_a_layer_asked_for_no_input_gradient_returns_the_same_parameter_gradients(
+            self, layer, x):
+        y, cache = layer.forward(x)
+        dy = np.random.default_rng(3).normal(size=y.shape)
+        dx, (dW, db) = layer.backward(cache, dy)
+        none, (dW_only, db_only) = layer.backward(cache, dy, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        assert np.array_equal(dW, dW_only) and np.array_equal(db, db_only)
+
+
 def finite_difference_agreement(net, x, labels, step=1e-4, tol=1e-3):
     """Fraction of parameters whose backward gradient matches a central
     finite difference of the loss within relative tolerance."""
