@@ -86,73 +86,51 @@ def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np
     return rows
 
 
-def _probe_tables(n: int, batch_size: int) -> list[tuple[int, int, int]]:
-    """(label, size, count) of every probe table, in the order they are
-    drawn: IMPACT_BATCHES probes of size B per label, then one probe per
-    (offset size, label)."""
-    labels = range(1, n + 1)
-    return ([(label, batch_size, IMPACT_BATCHES) for label in labels]
-            + [(label, size, 1) for size in OFFSET_BATCH_SIZES for label in labels])
+def _class_means(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The (n, n) mean rows of rows sorted by label, counts[l − 1] rows of
+    label l: row l − 1 is label l's mean. Every count is at least one, so
+    each label's rows are one reduceat segment."""
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return np.add.reduceat(rows, starts, axis=0) / counts[:, None]
 
 
-def _probe_means(own: np.ndarray, offset_rows) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, T) own-label means of the impact probes, from their own-label
-    entries as a (B, n, T) array, and the (S, n, n) means of the offset
-    probes, from their (n, size, n) rows per offset size. Along axis 0 of a
-    C-contiguous array numpy adds sample by sample, the order in which each
-    probe's own mean over its (B, n) rows adds them; in another layout it
-    may sum pairwise, which moves the last bit."""
-    impact = np.add.reduce(np.ascontiguousarray(own), axis=0) / len(own)
-    return impact, np.stack([rows.mean(axis=1) for rows in offset_rows])
-
-
-def _params(impact_means: np.ndarray, offset_means: np.ndarray, batch_size: int,
-            sample_count: int) -> AttackParams:
-    """A probe of B samples labelled i moves g[i] by about B impacts, so the
-    impact sums each label's own-entry means, (n, T), averaged over its
-    probes, times (1 + 1/n)/(n·B). A probe of label j shows the offset of
-    every class i != j: the own-label entries of the (S, n, n) offset means
-    are zeroed and the rest summed in probe order, over S·(n − 1)."""
-    n = offset_means.shape[-1]
-    gbar = impact_means.mean(axis=1)
-    impact = float(gbar.sum() * (1.0 + 1.0 / n) / (n * batch_size))
-    off_label = np.where(np.eye(n, dtype=bool), 0.0, offset_means)
-    offsets = off_label.reshape(-1, n).sum(axis=0) / (len(offset_means) * (n - 1))
+def _params(means: np.ndarray, batch_size: int, sample_count: int) -> AttackParams:
+    """Impact and offsets from the (n, n) per-label mean rows of single-label
+    probes, row l − 1 for label l. A probe of B samples labelled l moves g[l]
+    by about B impacts, so the impact sums the own-label entries times
+    (1 + 1/n)/(n·B). A probe of label j shows the offset of every class
+    i != j, so offset i averages column i over the n − 1 other labels."""
+    n = len(means)
+    impact = float(means.diagonal().sum() * (1.0 + 1.0 / n) / (n * batch_size))
+    offsets = np.where(np.eye(n, dtype=bool), 0.0, means).sum(axis=0) / (n - 1)
     return AttackParams(impact, offsets, sample_count)
 
 
 def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
                              dummy_kind: str = "zeros",
                              rng: np.random.Generator | None = None) -> AttackParams:
-    """Estimate impact and offsets by probing the model with dummy data."""
+    """Estimate impact and offsets by probing the model with dummy data:
+    LLG+'s estimator over a labelled dummy set, label-major, in one forward
+    pass. zeros and ones are one row per label, since every probe of a
+    label is the same input. uniform_random draws the paper's per-label
+    budget, IMPACT_BATCHES probes of B plus one of each OFFSET_BATCH_SIZES,
+    and pools it: a probe mean has the same expectation whatever its size."""
     if dummy_kind not in DUMMY_KINDS:
         raise ValueError(f"unknown dummy kind {dummy_kind!r}; use one of {DUMMY_KINDS}")
     n = net.n_classes
     input_dim = int(np.prod(net.input_shape))
-
     if dummy_kind == "uniform_random":
         if rng is None:
             raise ValueError("uniform_random dummies need a random generator")
-
-        def rows_for_label(label: int, size: int, count: int) -> np.ndarray:
-            # one forward per probe: stacking probes would change the GEMM bits
-            forwards = (net.forward(rng.random((size, input_dim))) for _ in range(count))
-            return np.stack([gradient_row_sums(logits, cache.penultimate, np.full(size, label))
-                             for logits, cache in forwards])
-
-        tables = [rows_for_label(*table) for table in _probe_tables(n, batch_size)]
-        own = np.stack([table[..., label] for label, table in enumerate(tables[:n])])
-        offsets = [np.concatenate(tables[k:k + n]) for k in range(n, len(tables), n)]
-        return _params(*_probe_means(own.transpose(2, 0, 1), offsets), batch_size,
-                       sample_count)
-    # every sample of a probe is the same input, so the row labelled l is
-    # the mean of every probe of label l, whatever its size
-    fill = 0.0 if dummy_kind == "zeros" else 1.0
-    logits, cache = net.forward(np.full((n, input_dim), fill))
-    rows = gradient_row_sums(logits, cache.penultimate, np.arange(1, n + 1))
-    return _params(np.repeat(rows.diagonal()[:, None], IMPACT_BATCHES, axis=1),
-                   np.broadcast_to(rows, (len(OFFSET_BATCH_SIZES), n, n)),
-                   batch_size, sample_count)
+        per_label = IMPACT_BATCHES * batch_size + sum(OFFSET_BATCH_SIZES)
+        dummies = rng.random((n * per_label, input_dim))
+    else:
+        per_label = 1
+        dummies = np.full((n, input_dim), 0.0 if dummy_kind == "zeros" else 1.0)
+    logits, cache = net.forward(dummies)
+    rows = gradient_row_sums(logits, cache.penultimate,
+                             np.repeat(np.arange(1, n + 1), per_label))
+    return _params(_class_means(rows, np.full(n, per_label)), batch_size, sample_count)
 
 
 def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
@@ -164,8 +142,8 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
     The paper averages the rows of sampled single-label probe batches.
     _params is linear in the probe means, and a probe mean's expectation,
     drawn with or without replacement, is its class's mean row; so this is
-    the expected estimate, _params of the (n, n) class mean rows (row l − 1
-    for class l), passed as the zeros path passes its rows. Nothing is drawn.
+    the expected estimate, _params of the (n, n) class mean rows. Nothing
+    is drawn.
     """
     if np.ndim(logits) != 2:
         raise ValueError(f"logits must be (B, n), got shape {np.shape(logits)}")
@@ -180,10 +158,8 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
     counts = np.array([len(pool) for pool in pools])
-    # every pool is non-empty, so each class's rows are one reduceat segment
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    means = np.add.reduceat(rows[np.concatenate(pools)], starts, axis=0) / counts[:, None]
-    return _params(means.diagonal()[:, None], means[None], batch_size, sample_count)
+    return _params(_class_means(rows[np.concatenate(pools)], counts), batch_size,
+                   sample_count)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:

@@ -70,6 +70,8 @@ _STREAM_VICTIM = 12
 _STREAM_DEFENSE = 13
 _STREAM_ATTACK = 14
 _STREAM_SELECT = 15
+# row seed labels are keyed tag first, so no row label equals a stream's state
+_STREAM_ROW = 16
 
 
 def _seed_words(parts) -> np.ndarray:
@@ -396,8 +398,9 @@ def _attack_rows(config: ExperimentConfig, accuracy: float, guesses: list, updat
             score = attack_success_rate(extracted, truth)
             distance = hellinger(extracted, truth)
         rows.append(ResultRow(attack=attack, asr=score, hellinger=distance,
-                              seed=seed_of(config.master_seed, KIND_INDEX[config.experiment],
-                                           d_idx, b_idx, a_idx, trial),
+                              seed=seed_of(_STREAM_ROW, config.master_seed,
+                                           KIND_INDEX[config.experiment], d_idx, b_idx, a_idx,
+                                           trial),
                               **common))
     return rows
 

@@ -246,11 +246,10 @@ def server_aggregate(updates: list[RoundUpdate], global_net: Network, eta: float
     """Apply one global step using the sample-count-weighted mean gradient."""
     if not updates:
         raise ValueError("cannot aggregate an empty round")
-    total = sum(u.sample_count for u in updates)
-    mean = updates[0].gradients.scaled(updates[0].sample_count / total)
-    for update in updates[1:]:
-        mean.add_(update.gradients.scaled(update.sample_count / total))
-    return global_net.sgd_step(mean, eta)
+    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
+    vectors = np.stack([u.gradients.vector for u in updates])
+    mean = (counts / counts.sum()) @ vectors
+    return global_net.sgd_step(updates[0].gradients.like(mean), eta)
 
 
 def select_clients(n_clients: int, per_round: int, rng: np.random.Generator) -> list[int]:

@@ -298,10 +298,7 @@ class Gradients:
         return self.like(self.vector * factor)
 
     def l2_norm(self) -> float:
-        # per-array partial sums, not one sum over the vector: the float
-        # order fixes the clipping factor, and with it the CSV bytes
-        total = sum(float((arr * arr).sum()) for arr in self.arrays())
-        return float(np.sqrt(total))
+        return float(np.sqrt(self.vector @ self.vector))
 
     @property
     def head(self):

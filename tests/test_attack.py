@@ -225,7 +225,7 @@ def class_mean_params(rows, ys, n, batch_size):
     """_params of the per-class mean rows, averaged one class at a time: the
     oracle of the auxiliary estimator's one reduction."""
     means = np.stack([rows[ys == label].mean(axis=0) for label in range(1, n + 1)])
-    return attack._params(means.diagonal()[:, None], means[None], batch_size, batch_size)
+    return attack._params(means, batch_size, batch_size)
 
 
 def loop_rows_for_label(net, kind, rng):
@@ -299,21 +299,17 @@ class TestProbeRowSums:
     @given(model=st.sampled_from(["mlp", "cnn"]),
            activation=st.sampled_from(["sigmoid", "relu"]),
            batch_size=st.integers(1, 128),
-           kind=st.sampled_from(["zeros", "ones", "uniform_random"]),
+           kind=st.sampled_from(["zeros", "ones"]),
            seed=st.integers(0, 2**32 - 1))
     def test_estimates_match_one_forward_per_probe(self, model, activation, batch_size, kind,
                                                    seed):
-        # same draws from the same stream, so both routes see the same probes
         net = probe_net(model, activation, seed)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
 
         def batch_for_label(_label, size):
-            if kind == "uniform_random":
-                return reference_rng.random((size, 64))
             return np.full((size, 64), 0.0 if kind == "zeros" else 1.0)
-        probes = 1 if kind in ("zeros", "ones") else IMPACT_BATCHES
-        impact, offsets = probed_one_forward_per_probe(net, batch_size, batch_for_label, probes)
+        impact, offsets = probed_one_forward_per_probe(net, batch_size, batch_for_label, 1)
         assert np.allclose(params.impact, impact, rtol=1e-9, atol=0)
         assert np.allclose(params.offsets, offsets, rtol=1e-9, atol=1e-15)
         assert rng.random() == reference_rng.random()
@@ -322,21 +318,49 @@ class TestProbeRowSums:
     @given(model=st.sampled_from(["mlp", "cnn"]),
            activation=st.sampled_from(["sigmoid", "relu"]),
            batch_size=st.integers(1, 128),
-           kind=st.sampled_from(["zeros", "ones", "uniform_random"]),
+           kind=st.sampled_from(["zeros", "ones"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_estimates_equal_the_probe_loops_bit_for_bit(self, model, activation, batch_size,
-                                                         kind, seed):
+    def test_fixed_dummies_are_params_of_one_row_per_label(self, model, activation, batch_size,
+                                                           kind, seed):
+        # every probe of a label is the same input, so its one row is the
+        # label's mean row: bit for bit, and the old per-probe loop (which
+        # averaged IMPACT_BATCHES and len(OFFSET_BATCH_SIZES) copies of it)
+        # within rounding
         net = probe_net(model, activation, seed)
+        n, fill = net.n_classes, 0.0 if kind == "zeros" else 1.0
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         params = estimate_params_whitebox(net, batch_size, batch_size, kind, rng)
-        impact, offsets = loop_estimates(net.n_classes, batch_size,
-                                         loop_rows_for_label(net, kind, loop_rng))
-        assert params.impact == impact
-        assert params.offsets.tobytes() == offsets.tobytes()
+        rows = forward_rows(net, np.full((n, 64), fill), np.arange(1, n + 1))
+        table = attack._params(rows, batch_size, batch_size)
+        assert params.impact == table.impact
+        assert params.offsets.tobytes() == table.offsets.tobytes()
+        impact, offsets = loop_estimates(n, batch_size, loop_rows_for_label(net, kind, loop_rng))
+        np.testing.assert_allclose(params.impact, impact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(params.offsets, offsets, rtol=1e-12, atol=0)
         assert rng.random() == loop_rng.random()
 
-    def test_one_forward_prices_every_deterministic_or_auxiliary_estimate(self, world,
-                                                                        monkeypatch):
+    @settings(deadline=None, max_examples=30)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           batch_size=st.sampled_from(VALID_BATCH_SIZES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_uniform_dummies_are_one_draw_of_the_per_label_budget(self, model, activation,
+                                                                  batch_size, seed):
+        # IMPACT_BATCHES probes of B and one of each offset size per label,
+        # drawn label-major in one call and averaged per label
+        net = probe_net(model, activation, seed)
+        n = net.n_classes
+        per_label = IMPACT_BATCHES * batch_size + sum(OFFSET_BATCH_SIZES)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = estimate_params_whitebox(net, batch_size, batch_size, "uniform_random", rng)
+        labels = np.repeat(np.arange(1, n + 1), per_label)
+        rows = forward_rows(net, reference_rng.random((n * per_label, 64)), labels)
+        expected = class_mean_params(rows, labels, n, batch_size)
+        np.testing.assert_allclose(params.impact, expected.impact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(params.offsets, expected.offsets, rtol=1e-12, atol=0)
+        assert rng.random() == reference_rng.random()
+
+    def test_every_estimate_makes_one_row_sum_call(self, world, monkeypatch):
         _, aux = world
         net = mlp(64, 10, seed=43)
         calls = []
@@ -351,7 +375,7 @@ class TestProbeRowSums:
             assert calls == [10]
         calls.clear()
         estimate_params_whitebox(net, 8, 8, "uniform_random", np.random.default_rng(0))
-        assert len(calls) == 10 * (IMPACT_BATCHES + len(OFFSET_BATCH_SIZES))
+        assert calls == [10 * (IMPACT_BATCHES * 8 + sum(OFFSET_BATCH_SIZES))]
 
     def test_non_finite_row_sum_rejected(self):
         # finite logits (zero head weights) over huge finite activations:
@@ -415,6 +439,31 @@ class TestClosedFormExpectation:
             standard_error = sampled.std(axis=0, ddof=1) / np.sqrt(draws)
             assert np.all(standard_error > 0)
             assert np.all(np.abs(sampled.mean(axis=0) - expected) <= 4 * standard_error)
+
+
+class TestUniformDummyExpectation:
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_pooled_estimates_centre_on_the_per_probe_estimator(self, batch_size):
+        # the paper's estimator, one forward and one mean per probe, is the
+        # oracle: _params is linear in the probe means, and a uniform probe
+        # mean of label l has the same expectation whatever the probe's
+        # size. So the means of 200 estimates of each lie within 4 standard
+        # errors of their difference
+        net = mlp(64, 10, seed=3)
+        rng, draws = np.random.default_rng(7), 200
+        pooled = [estimate_params_whitebox(net, batch_size, batch_size, "uniform_random", rng)
+                  for _ in range(draws)]
+        rows_for_label = loop_rows_for_label(net, "uniform_random", rng)
+        probed = [loop_estimates(10, batch_size, rows_for_label) for _ in range(draws)]
+        for got, oracle in ((np.array([p.impact for p in pooled]),
+                             np.array([impact for impact, _ in probed])),
+                            (np.stack([p.offsets for p in pooled]),
+                             np.stack([offsets for _, offsets in probed]))):
+            variances = [sample.var(axis=0, ddof=1) / draws for sample in (got, oracle)]
+            standard_error = np.sqrt(variances[0] + variances[1])
+            assert np.all(standard_error > 0)
+            assert np.all(np.abs(got.mean(axis=0) - oracle.mean(axis=0))
+                          <= 4 * standard_error)
 
 
 class TestSharedHeldOutForward:

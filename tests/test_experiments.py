@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -689,6 +690,28 @@ class TestShippedConfigs:
         buffer = io.StringIO()
         emit_csv(rows, buffer)
         assert_cells_hold(buffer.getvalue(), rows)
+
+    @pytest.mark.parametrize("name", ["defense_clipping.json", "defense_noise.json"])
+    def test_no_two_stream_keys_share_a_state(self, monkeypatch, name):
+        # every SeedSequence key the run builds, with the call site that built
+        # it (its purpose), grouped by the key's state. At 14 trials a row
+        # label keyed (m, kind, d, b, a, t) without a tag of its own would be
+        # the defense stream's key (m, kind, d, b, t', 13) wherever a = t'
+        keys = set()
+        for function in ("rng_for", "seed_of"):
+            real = getattr(experiments, function)
+            monkeypatch.setattr(
+                experiments, function,
+                lambda *parts, real=real, function=function:
+                    keys.add((function, sys._getframe(1).f_lineno, parts)) or real(*parts))
+        run_experiment(replace(load_config(ROOT / "configs" / name), trials=14))
+        by_state = {}
+        for key in keys:
+            words = experiments._seed_words(key[-1])
+            state = np.random.SeedSequence(words).generate_state(4)
+            by_state.setdefault(state.tobytes(), []).append(key)
+        assert len({key[:2] for key in keys}) >= 5  # data, model, victim, defense, row sites
+        assert [group for group in by_state.values() if len(group) > 1] == []
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_bench_workload_loads(self, name):
