@@ -127,8 +127,8 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     else:
         per_label = 1
         dummies = np.full((n, input_dim), 0.0 if dummy_kind == "zeros" else 1.0)
-    logits, cache = net.forward(dummies)
-    rows = gradient_row_sums(logits, cache.penultimate,
+    logits, penultimate = net.infer(dummies)
+    rows = gradient_row_sums(logits, penultimate,
                              np.repeat(np.arange(1, n + 1), per_label))
     return _params(_class_means(rows, np.full(n, per_label)), batch_size, sample_count)
 

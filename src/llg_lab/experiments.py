@@ -343,7 +343,7 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
     rng_for(master, kind, *rng_key, _STREAM_ATTACK, a), built only for the
     attacks that draw: llg, llg_plus and llg_star's zeros and ones dummies
     do not."""
-    logits, cache = net.forward(test.xs)
+    logits, penultimate = net.infer(test.xs)
     calibration = config.experiment == "calibration_plot"
     guesses = []
     for a_idx, attack in enumerate(("llg_plus",) if calibration else config.attacks):
@@ -359,7 +359,7 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
             guess = estimate_params_whitebox(net, batch_size, sample_count,
                                              dummy_kind=config.dummy_kind, rng=rng)
         elif attack == "llg_plus":
-            guess = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size,
+            guess = estimate_params_auxiliary(logits, penultimate, test, batch_size,
                                               sample_count)
         else:
             raise ValueError(f"unknown attack {attack!r}")

@@ -100,8 +100,9 @@ class Dense:
         return dx, (dW, db)
 
 
-# the largest client or probe batch (fl.VALID_BATCH_SIZES): only larger
-# batches, such as a held-out set, are gathered in more than one block
+# the largest client or probe batch (fl.VALID_BATCH_SIZES): Network.infer
+# runs the per-sample layers of larger batches, such as a held-out set, in
+# blocks of this many samples, whose temporaries stay in cache
 _SAMPLE_BLOCK = 128
 
 
@@ -159,15 +160,9 @@ class Conv2D:
         flat_x = np.moveaxis(x, -3, -1).reshape(*batch, -1)
         # W as (out, C*k*k) after an axis of one for the batch
         flat_w = self.W.reshape(*self.W.shape[:-4], 1, self.out_channels, -1)
-        out = np.empty((*batch, ho * wo, self.out_channels))
-        # im2col in blocks of at most _SAMPLE_BLOCK samples, so patches never
-        # exist for a whole held-out batch. A stacked matmul multiplies each
-        # sample's (ho*wo, C*k*k) patches by flat_w on their own, so which
-        # block a sample lands in changes no bit of its product
-        for start in range(0, batch[-1], _SAMPLE_BLOCK):
-            rows = slice(start, start + _SAMPLE_BLOCK)
-            np.matmul(self._patches(flat_x[..., rows, :], channels, h, w),
-                      flat_w.swapaxes(-1, -2), out=out[..., rows, :, :])
+        # a stacked matmul: each sample's (ho*wo, C*k*k) patches times flat_w
+        # on their own, so a sample's bits do not depend on the batch
+        out = self._patches(flat_x, channels, h, w) @ flat_w.swapaxes(-1, -2)
         out += self.b[..., None, None, :]
         out = out.swapaxes(-1, -2).reshape(*batch, self.out_channels, ho, wo)
         return out, (x.shape, flat_x)
@@ -442,6 +437,30 @@ class Network:
         # the dense head caches its own input, i.e. the penultimate activations
         return x, Cache(self._version, x.shape[-2], caches, caches[-1])
 
+    def infer(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """(logits, penultimate): forward's logits and cache.penultimate, bit
+        for bit, for a pass that no backward reads, keeping no layer caches.
+
+        The layers before the first dense one act on each sample alone (a
+        conv layer's stacked matmul multiplies each sample's patches on their
+        own), so they run on blocks of _SAMPLE_BLOCK samples. The dense
+        layers run once over the whole batch, since a GEMM's bits depend on
+        its row count; an MLP, whose first layer is dense, is not blocked.
+        """
+        x = self._shape_batch(batch)
+        _require_finite(x, "input batch")
+        first_dense = next(i for i, layer in enumerate(self.layers) if isinstance(layer, Dense))
+        if first_dense:
+            axis = self.params.ndim - 1  # the batch axis
+            blocks = np.split(x, range(_SAMPLE_BLOCK, x.shape[axis], _SAMPLE_BLOCK), axis=axis)
+            # the first dense layer takes (..., B, d)
+            x = np.concatenate([_forward_only(self.layers[:first_dense], block)
+                                for block in blocks], axis=-2)
+        penultimate = _forward_only(self.layers[first_dense:-1], x)
+        logits = _forward_only(self.layers[-1:], penultimate)
+        _require_finite(logits, "logits")
+        return logits, penultimate
+
     def backward(self, cache: Cache, dlogits: np.ndarray) -> Gradients:
         if cache.version != self._version:
             raise ValueError("stale activation cache: parameters changed since forward")
@@ -476,6 +495,12 @@ class Network:
         self.params -= eta * grads.vector
         self._version += 1
         return self
+
+
+def _forward_only(layers: list, x: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        x, _ = layer.forward(x)
+    return x
 
 
 def _shallow(layer):

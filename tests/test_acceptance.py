@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -13,7 +14,8 @@ from llg_lab import experiments
 from llg_lab.attack import estimate_params_auxiliary, llg_extract, random_guess
 from llg_lab.data import SyntheticSpec, synth_generate
 from llg_lab.defenses import apply_defense
-from llg_lab.experiments import DefenseSpec, ExperimentConfig, emit_csv, run_experiment
+from llg_lab.experiments import (DefenseSpec, ExperimentConfig, emit_csv, load_config,
+                                 run_experiment)
 from llg_lab.fl import BatchSpec, local_train_fedavg, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate, pearson
@@ -23,6 +25,8 @@ from llg_lab.nn import (Activation, Conv2D, Dense, Flatten, Gradients, Network, 
 from test_nn import finite_difference_agreement
 
 MASTER_SEED = 7
+# c04 and c07 run shipped configs, so that a config edit meets its criterion
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class Criterion:
@@ -117,10 +121,8 @@ def test_c03_calibrated_gradients_correlate_with_counts():
 
 def test_c04_auxiliary_attack_headline():
     with Criterion(4, "LLG+ headline", 300) as c:
-        rows = run_experiment(ExperimentConfig(
-            experiment="asr_vs_batchsize", attacks=("llg_plus",),
-            trials=100, master_seed=MASTER_SEED,
-        ))
+        rows = run_experiment(replace(load_config(CONFIGS / "asr_vs_batchsize.json"),
+                                      attacks=("llg_plus",)))
         means = _cell_means(rows)
         by_batch = {key[1]: value for key, value in means.items()}
         worst = min(by_batch.values())
@@ -164,11 +166,8 @@ def test_c06_fedavg_degrades_but_still_leaks():
 
 def test_c07_attack_decays_with_model_convergence():
     with Criterion(7, "convergence decay", 600) as c:
-        rows = run_experiment(ExperimentConfig(
-            experiment="convergence_sweep", attacks=("llg", "random"),
-            batch_sizes=(8,), trials=1, rounds=1000, eta=0.5,
-            master_seed=MASTER_SEED,
-        ))
+        rows = run_experiment(replace(load_config(CONFIGS / "convergence.json"),
+                                      attacks=("llg", "random")))
         llg = [r.asr for r in rows if r.attack == "llg"]
         rand = [r.asr for r in rows if r.attack == "random"]
         accuracy = [r.model_accuracy for r in rows][-1]

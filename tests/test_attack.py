@@ -3,6 +3,7 @@ a hand-traced extraction run, soundness/cardinality/ordering properties,
 and the enumeration oracle for the random-guess baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,20 @@ class TestProbeRowSums:
         np.testing.assert_allclose(params.impact, expected.impact, rtol=1e-12, atol=0)
         np.testing.assert_allclose(params.offsets, expected.offsets, rtol=1e-12, atol=0)
         assert rng.random() == reference_rng.random()
+
+    def test_uniform_dummies_on_the_cnn_peak_under_45_mb_at_b128(self):
+        # 10·(10·128 + 42) = 13,220 dummy rows in one inference pass: the
+        # dummies (6.8 MB), the 128-row blocks' penultimate activations and
+        # their concatenation (13.5 MB each). One forward that kept every
+        # layer's cache and gathered every sample's patches peaked at 102 MB
+        net = small_cnn((8, 8), 10)
+        tracemalloc.start()
+        try:
+            estimate_params_whitebox(net, 128, 128, "uniform_random", np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6
 
     def test_every_estimate_makes_one_row_sum_call(self, world, monkeypatch):
         _, aux = world

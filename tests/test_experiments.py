@@ -82,20 +82,26 @@ def csv_records(path):
 
 
 def held_out_counts(monkeypatch, config):
-    """Network.forward calls whose batch is the run's held-out set, and
-    gradient_row_sums calls, over one run of config."""
+    """Network.infer calls whose batch is the run's held-out set, and
+    gradient_row_sums calls, over one run of config. Network.forward, which
+    keeps caches for a backward, never receives the held-out set."""
     counts: Counter = Counter()
     made = []
     generate = experiments.synth_generate
     monkeypatch.setattr(experiments, "synth_generate",
                         lambda spec: made.append(generate(spec)) or made[-1])
-    forward = nn.Network.forward
+    forward, infer = nn.Network.forward, nn.Network.infer
 
-    def counted_forward(net, batch):
+    def counted_infer(net, batch):
         counts["held_out"] += batch is made[-1][1].xs
+        return infer(net, batch)
+
+    def checked_forward(net, batch):
+        assert batch is not made[-1][1].xs
         return forward(net, batch)
 
-    monkeypatch.setattr(nn.Network, "forward", counted_forward)
+    monkeypatch.setattr(nn.Network, "infer", counted_infer)
+    monkeypatch.setattr(nn.Network, "forward", checked_forward)
     row_sums = attack.gradient_row_sums
     monkeypatch.setattr(attack, "gradient_row_sums",
                         lambda *args: counts.update(["row_sums"]) or row_sums(*args))
@@ -465,7 +471,7 @@ class TestRunExperiment:
         assert len(rows) == cells * len(ATTACKS)
 
     def test_one_held_out_forward_per_defense_sweep_cell(self, monkeypatch):
-        # the accuracy and the llg_plus row sums read one forward pass
+        # the accuracy and the llg_plus row sums read one inference pass
         counts = held_out_counts(monkeypatch, defense_sweep(SWEEP_ARMS))
         assert counts["held_out"] == 2 * 2
 

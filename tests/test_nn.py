@@ -179,7 +179,7 @@ def cached_patches(layer, cache):
 
 def whole_batch_conv(layer, x, dy):
     """Conv2D forward and backward through one patch matrix for the whole
-    batch, the expressions of the unblocked layer: (out, dx, dW, db)."""
+    batch, written out apart from the layer: (out, dx, dW, db)."""
     *batch, channels, h, w = x.shape
     k, s = layer.kernel, layer.stride
     ho, wo = layer.output_hw(h, w)
@@ -366,10 +366,9 @@ class TestLayerKernels:
            channels=st.tuples(st.integers(1, 2), st.integers(1, 3)),
            hw=st.tuples(st.integers(3, 5), st.integers(3, 5)),
            kernel=st.integers(1, 3), stride=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-    def test_blocked_conv_matches_the_whole_batch_patches_bit_for_bit(
+    def test_conv_matches_the_whole_batch_patches_bit_for_bit(
             self, layout, dy_layout, stack, batch, channels, hw, kernel, stride, seed):
-        # forward gathers at most 128 samples' patches at a time and backward
-        # regathers them from the cached input; batches cross block edges
+        # backward regathers the patches from the cached input
         rng = np.random.default_rng(seed)
         lead = () if stack is None else (stack,)
         layers = [Conv2D(*channels, kernel, stride, rng) for _ in range(stack or 1)]
@@ -442,22 +441,79 @@ class TestLayerKernels:
                        for arr, arr_c in zip(grads.arrays(), grads_c.arrays(), strict=True))
 
 
+class TestInfer:
+    """Network.infer is forward's (logits, cache.penultimate) without the
+    layer caches, its per-sample layers run in blocks of 128 samples."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(make=st.sampled_from([
+        lambda s: mlp(4, 3, hidden=5, seed=s),
+        lambda s: mlp(4, 3, hidden=5, seed=s, activation="relu"),
+        lambda s: small_cnn((6, 6), 3, channels=2, seed=s),
+        lambda s: small_cnn((6, 6), 3, channels=2, seed=s, activation="relu"),
+        lambda s: hand_made_net(s),
+        lambda s: activation_first_cnn(s),
+        lambda s: flatten_first_mlp(s),
+    ]), stack=st.sampled_from([None, 3]),
+        batch=st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129, 256, 257])),
+        seed=st.integers(0, 2**32 - 1))
+    def test_infer_equals_forward_bit_for_bit(self, make, stack, batch, seed):
+        # batches cross the block edges, and a stack blocks its batch axis
+        net = make(seed % 100)
+        if stack:
+            net = net.replicas(stack)
+            net.params[:] += np.random.default_rng(seed).normal(scale=0.1, size=net.params.shape)
+        lead = net.params.shape[:-1]
+        x = np.random.default_rng(seed).normal(size=(*lead, batch, *net.input_shape))
+        logits, penultimate = net.infer(x)
+        expected, cache = net.forward(x)
+        assert logits.shape == expected.shape
+        assert np.array_equal(logits, expected)
+        assert penultimate.shape == cache.penultimate.shape
+        assert np.array_equal(penultimate, cache.penultimate)
+
+    def test_infer_rejects_what_forward_rejects(self):
+        net = small_cnn((6, 6), 3, channels=2)
+        with pytest.raises(ValueError, match="does not match input shape"):
+            net.infer(np.zeros((200, 35)))
+        bad = np.zeros((200, 36))
+        bad[150, 0] = np.nan
+        with pytest.raises(ValueError, match="input batch contains non-finite"):
+            net.infer(bad)
+        net.head.b[0] = np.inf
+        with pytest.raises(ValueError, match="logits contains non-finite"):
+            net.infer(np.zeros((200, 36)))
+
+
 class TestConvMemory:
-    def test_held_out_forward_keeps_no_whole_batch_patch_matrix(self):
-        # patches of 1,000 rows took 2.6 MB (conv1) and 9.2 MB (conv2), and
-        # the cache kept both; now it keeps each conv layer's input
+    def test_held_out_inference_peaks_under_4_mb(self):
+        # one forward of 1,000 rows gathers 2.6 MB (conv1) and 9.2 MB
+        # (conv2) of patches, and its layers' 2.3 MB outputs; infer holds
+        # one 128-sample block's temporaries at a time
         net = small_cnn((8, 8), 10)
         x = np.random.default_rng(0).normal(size=(1000, 64))
         tracemalloc.start()
         try:
-            logits, cache = net.forward(x)
-            held, peak = tracemalloc.get_traced_memory()
+            logits, penultimate = net.infer(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (1000, 10) and penultimate.shape == (1000, 128)
+        assert peak < 4e6
+
+    def test_forward_cache_keeps_each_conv_layers_input_not_its_patches(self):
+        # patches of 1,000 rows take 2.6 MB (conv1) and 9.2 MB (conv2);
+        # backward regathers them from the cached inputs
+        net = small_cnn((8, 8), 10)
+        x = np.random.default_rng(0).normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            _, cache = net.forward(x)
+            held = tracemalloc.get_traced_memory()[0]
             del cache
             cache_bytes = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert logits.shape == (1000, 10)
-        assert peak < 10e6
         assert cache_bytes < 6e6
 
 
