@@ -56,6 +56,7 @@ from .nn import (
     output_gradient,
     small_cnn,
     softmax,
+    softmax_residual,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import ClientDataset
 from .labels import LabelMultiset
-from .nn import LastLayerGradient, Network, output_gradient
+from .nn import LastLayerGradient, Network, softmax_residual
 
 DUMMY_KINDS = ("zeros", "ones", "uniform_random")
 OFFSET_BATCH_SIZES = (2, 8, 32)
@@ -78,9 +78,7 @@ def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np
     (p_k - e_{y_k})·Σ_j a_kj and no backward pass runs. A probe batch's
     row sums are the mean of its samples' rows.
     """
-    # output_gradient divides by B for the batch mean; a sample alone has B = 1
-    dy = output_gradient(logits, labels) * len(logits)
-    rows = dy * penultimate.sum(axis=1)[:, None]
+    rows = softmax_residual(logits, labels) * penultimate.sum(axis=1)[:, None]
     if not np.all(np.isfinite(rows)):
         raise ValueError("probe gradient row sums contain non-finite values")
     return rows

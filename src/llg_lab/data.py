@@ -21,13 +21,11 @@ class ClientDataset:
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
-        self.ys = integer_labels(self.ys)
+        self.ys = integer_labels(self.ys, self.n_classes)
         if len(self.xs) == 0:
             raise ValueError("dataset must be non-empty")
         if len(self.xs) != len(self.ys):
             raise ValueError("xs and ys lengths differ")
-        if self.ys.min() < 1 or self.ys.max() > self.n_classes:
-            raise ValueError(f"labels must lie in [1, {self.n_classes}]")
         if not np.all(np.isfinite(self.xs)):
             raise ValueError("dataset features contain non-finite values")
 

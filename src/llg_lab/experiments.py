@@ -358,11 +358,9 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
         elif attack == "llg_star":
             guess = estimate_params_whitebox(net, batch_size, sample_count,
                                              dummy_kind=config.dummy_kind, rng=rng)
-        elif attack == "llg_plus":
+        else:  # llg_plus; _CONFIG_RULES rejects any other name
             guess = estimate_params_auxiliary(logits, penultimate, test, batch_size,
                                               sample_count)
-        else:
-            raise ValueError(f"unknown attack {attack!r}")
         guesses.append((attack, guess))
     return test_accuracy(logits, test.ys), guesses
 

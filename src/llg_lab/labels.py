@@ -7,29 +7,32 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def integer_labels(labels) -> np.ndarray:
-    """labels as an int64 array, checked to be integers.
+def integer_labels(labels, n_classes: int) -> np.ndarray:
+    """labels as an int64 array, checked to be integers in [1, n_classes]:
+    the one label check of every entry point that reads labels.
 
     Integer arrays load as they are and float arrays of whole numbers, such
     as 3.0, as those integers. A boolean, non-finite or fractional label
     raises ValueError naming the first one: a cast would truncate 1.9 to 1
-    and read True as label 1.
+    and read True as label 1. A label outside [1, n_classes] raises too.
     """
     arr = np.asarray(labels)
     if arr.dtype.kind in "iu" or not arr.size:
-        return arr.astype(np.int64, copy=False)
-    if arr.dtype.kind == "b":
-        pos, why = 0, "boolean"
+        ints = arr.astype(np.int64, copy=False)
     else:
         values = arr.astype(np.float64)
-        bad = ~np.isfinite(values) | (values != np.floor(values))
-        if not bad.any():
-            return values.astype(np.int64)
-        pos = int(np.argmax(bad))
-        why = "fractional" if np.isfinite(values.flat[pos]) else "not finite"
-    where = pos if arr.ndim <= 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))
-    raise ValueError(f"labels must be integers; label {arr.flat[pos].item()!r} "
-                     f"at index {where} is {why}")
+        bad = (arr.dtype.kind == "b") | ~np.isfinite(values) | (values != np.floor(values))
+        if bad.any():
+            pos = int(np.argmax(bad))
+            why = ("boolean" if arr.dtype.kind == "b" else
+                   "fractional" if np.isfinite(values.flat[pos]) else "not finite")
+            where = pos if arr.ndim <= 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))
+            raise ValueError(f"labels must be integers; label {arr.flat[pos].item()!r} "
+                             f"at index {where} is {why}")
+        ints = values.astype(np.int64)
+    if ints.size and (ints.min() < 1 or ints.max() > n_classes):
+        raise ValueError(f"labels must lie in [1, {n_classes}]")
+    return ints
 
 
 @dataclass(eq=False)
@@ -47,9 +50,7 @@ class LabelMultiset:
 
     @classmethod
     def from_labels(cls, labels, n_classes: int) -> "LabelMultiset":
-        labels = integer_labels(labels)
-        if labels.size and (labels.min() < 1 or labels.max() > n_classes):
-            raise ValueError(f"labels must lie in [1, {n_classes}]")
+        labels = integer_labels(labels, n_classes)
         return cls(np.bincount(labels - 1, minlength=n_classes))
 
     @property

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .labels import LabelMultiset
+from .labels import LabelMultiset, integer_labels
 
 
 def attack_success_rate(extracted: LabelMultiset, truth: LabelMultiset) -> float:
@@ -49,4 +49,5 @@ def test_accuracy(logits: np.ndarray, labels) -> float:
         raise ValueError("test set must be non-empty")
     if np.ndim(logits) != 2 or len(logits) != len(labels):
         raise ValueError(f"expected logits of shape ({len(labels)}, n), got {np.shape(logits)}")
+    labels = integer_labels(labels, logits.shape[1])
     return int((logits.argmax(axis=1) + 1 == labels).sum()) / len(labels)

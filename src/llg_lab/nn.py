@@ -32,6 +32,7 @@ __all__ = [
     "sigmoid",
     "small_cnn",
     "softmax",
+    "softmax_residual",
 ]
 
 
@@ -509,30 +510,29 @@ def _shallow(layer):
     return clone
 
 
-def _check_labels(labels, n_classes: int, shape: tuple) -> np.ndarray:
-    labels = integer_labels(labels)
-    if labels.shape != shape:
-        raise ValueError(f"expected labels of shape {shape}, got shape {labels.shape}")
-    if labels.size and (labels.min() < 1 or labels.max() > n_classes):
-        raise ValueError(f"labels must lie in [1, {n_classes}]")
-    return labels
-
-
-def output_gradient(logits: np.ndarray, labels) -> np.ndarray:
-    """Per-sample gradient of the batch-mean cross-entropy w.r.t. the logits.
-
-    Shape (B, n), or (..., B, n) for (..., B) labels. Its column sums are the
-    gradient of the loss w.r.t. each class's summed output score.
-    """
+def softmax_residual(logits: np.ndarray, labels) -> np.ndarray:
+    """softmax(z) − one-hot(y), shape (B, n) or (..., B, n) for (..., B) labels:
+    row k is the gradient of sample k's own cross-entropy w.r.t. its logits."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2:
         raise ValueError(f"logits must be (B, n), got shape {z.shape}")
-    batch_size, n = z.shape[-2:]
-    idx = _check_labels(labels, n, z.shape[:-1])
+    idx = integer_labels(labels, z.shape[-1])
+    if idx.shape != z.shape[:-1]:
+        raise ValueError(f"expected labels of shape {z.shape[:-1]}, got shape {idx.shape}")
     p = softmax(z)
-    rows = p.reshape(-1, n)  # a view: softmax returns a fresh array
+    rows = p.reshape(-1, z.shape[-1])  # a view: softmax returns a fresh array
     rows[np.arange(len(rows)), idx.ravel() - 1] -= 1.0
-    return p / batch_size
+    return p
+
+
+def output_gradient(logits: np.ndarray, labels) -> np.ndarray:
+    """Per-sample gradient of the batch-mean cross-entropy w.r.t. the logits,
+    softmax_residual / B: shape (B, n), or (..., B, n) for (..., B) labels.
+    Its column sums are the gradient of the loss w.r.t. each class's summed
+    output score.
+    """
+    residual = softmax_residual(logits, labels)
+    return residual / residual.shape[-2]
 
 
 def mlp(input_dim: int, n_classes: int, hidden: int = 64, seed: int = 0,

@@ -28,7 +28,7 @@ from llg_lab.data import SyntheticSpec, synth_generate
 from llg_lab.fl import VALID_BATCH_SIZES, BatchSpec, local_train_fedsgd, make_batch
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import attack_success_rate
-from llg_lab.nn import LastLayerGradient, mlp, output_gradient, small_cnn
+from llg_lab.nn import LastLayerGradient, mlp, output_gradient, small_cnn, softmax_residual
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +263,7 @@ def network_row_sums(net, batch, labels):
     """gradient_row_sums as it was when it ran its own forward pass: the
     oracle the shared held-out forward must equal bit for bit."""
     logits, cache = net.forward(batch)
-    dy = output_gradient(logits, labels) * len(logits)
-    rows = dy * cache.penultimate.sum(axis=1)[:, None]
+    rows = softmax_residual(logits, labels) * cache.penultimate.sum(axis=1)[:, None]
     if not np.all(np.isfinite(rows)):
         raise ValueError("probe gradient row sums contain non-finite values")
     return rows

@@ -96,10 +96,6 @@ class TestClientDataset:
         with pytest.raises(ValueError, match="non-empty"):
             ClientDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
 
-    def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ValueError, match=r"\[1, 2\]"):
-            ClientDataset(np.zeros((2, 3)), np.array([1, 3]), 2)
-
     def test_class_indices_lookup(self):
         data = ClientDataset(np.zeros((4, 2)), np.array([2, 1, 2, 2]), 3)
         assert np.array_equal(data.class_indices(2), np.array([0, 2, 3]))

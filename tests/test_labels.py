@@ -1,18 +1,26 @@
 """Label input checks shared by every entry point that reads labels: a
-boolean, non-finite or fractional label is rejected, never truncated."""
+boolean, non-finite or fractional label is rejected, never truncated, and
+so is a label outside the class range."""
 
 import numpy as np
 import pytest
 
+from llg_lab.attack import gradient_row_sums
 from llg_lab.data import ClientDataset
 from llg_lab.labels import LabelMultiset
+from llg_lab.metrics import test_accuracy as accuracy_on
 from llg_lab.nn import output_gradient
 
+# every entry point reads labels of the class range [1, 3]
 ENTRY_POINTS = {
     "LabelMultiset.from_labels": lambda labels: LabelMultiset.from_labels(labels, 3).counts,
     "ClientDataset": lambda labels: ClientDataset(np.zeros((len(labels), 2)), labels, 3).ys,
     "output_gradient": lambda labels: output_gradient(np.zeros((len(labels), 3)), labels),
+    "gradient_row_sums": lambda labels: gradient_row_sums(
+        np.zeros((len(labels), 3)), np.ones((len(labels), 2)), labels),
+    "test_accuracy": lambda labels: accuracy_on(np.zeros((len(labels), 3)), labels),
 }
+LABEL_ARRAYS = ("LabelMultiset.from_labels", "ClientDataset")
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -31,9 +39,16 @@ def test_a_non_integer_label_is_named(entry, labels, message):
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("labels", [[0, 1], [2, -1], [1, 4]], ids=["0", "-1", "n+1"])
+def test_a_label_outside_the_class_range_is_rejected(entry, labels):
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 3\]"):
+        ENTRY_POINTS[entry](labels)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_whole_numbers_load_as_the_integers(entry):
     whole = ENTRY_POINTS[entry]([3.0, 1.0, 1.0])
-    assert whole.dtype == np.float64 if entry == "output_gradient" else whole.dtype == np.int64
+    assert np.asarray(whole).dtype == (np.int64 if entry in LABEL_ARRAYS else np.float64)
     for same in ([3, 1, 1], np.array([3, 1, 1], dtype=np.uint8),
                  np.array([3.0, 1.0, 1.0], dtype=np.float32)):
         assert np.array_equal(ENTRY_POINTS[entry](same), whole)

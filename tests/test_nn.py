@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from llg_lab.labels import integer_labels
 from llg_lab.nn import (
     Activation,
     Conv2D,
@@ -19,13 +20,13 @@ from llg_lab.nn import (
     Gradients,
     LastLayerGradient,
     Network,
-    _check_labels,
     _patch_index,
     mlp,
     output_gradient,
     sigmoid,
     small_cnn,
     softmax,
+    softmax_residual,
 )
 
 
@@ -38,7 +39,7 @@ def cross_entropy_loss(logits, labels):
     """
     z = np.asarray(logits, dtype=np.float64)
     batch_size, n = z.shape
-    idx = _check_labels(labels, n, (batch_size,))
+    idx = integer_labels(labels, n)
     shifted = z - z.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-logp[np.arange(batch_size), idx - 1].mean())
@@ -554,11 +555,17 @@ class TestCrossEntropy:
         per_sample = output_gradient(logits, labels)
         assert d == pytest.approx(per_sample.sum(axis=0), rel=1e-12)
 
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"labels must lie in \[1, 2\]"):
-            cross_entropy_loss(np.zeros((1, 2)), [3])
-        with pytest.raises(ValueError, match=r"labels must lie in \[1, 2\]"):
-            cross_entropy_loss(np.zeros((1, 2)), [0])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), lead=st.sampled_from([(), (1,), (3,)]), batch=st.integers(1, 130),
+           n=st.integers(2, 10))
+    def test_output_gradient_is_the_softmax_residual_over_b_bit_for_bit(self, data, lead,
+                                                                        batch, n):
+        # (B, n) logits and stacked (K, B, n) logits alike
+        logits = data.draw(arrays(np.float64, (*lead, batch, n), elements=FINITE))
+        labels = data.draw(arrays(np.int64, (*lead, batch), elements=st.integers(1, n)))
+        residual = softmax_residual(logits, labels)
+        assert np.array_equal(residual, softmax(logits) - np.eye(n)[labels - 1])
+        assert np.array_equal(output_gradient(logits, labels), residual / batch)
 
     def test_softmax_is_stable_for_large_logits(self):
         p = softmax(np.array([[1000.0, 1000.0]]))
