@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the experiment config")
     run.add_argument("--seed", type=int, help="override the config's master seed")
     run.add_argument("--out", help="output directory for the CSV (default: CSV to stdout)")
-    run.add_argument("--trials", type=int, help="override the config's trial count")
+    run.add_argument("--trials", type=int, help="override the trial count of a grid experiment")
     return parser
 
 
@@ -50,6 +50,9 @@ def main(argv=None) -> int:
         return 2
     try:
         config = experiments.load_config(args.config)
+        if args.trials is not None and config.experiment == "convergence_sweep":
+            raise ValueError(f"--trials applies to grid experiments only: a convergence_sweep "
+                             f"runs `rounds` rounds ({config.rounds} in {args.config})")
         overrides = {"master_seed": args.seed, "trials": args.trials}
         config = replace(config, **{name: value for name, value in overrides.items()
                                     if value is not None})

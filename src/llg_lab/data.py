@@ -90,24 +90,27 @@ def synth_generate(spec: SyntheticSpec) -> tuple[ClientDataset, ClientDataset]:
     """
     rng = np.random.default_rng(spec.seed)
     anchors = class_anchors(spec, rng)
-    xs = np.empty((spec.n_classes * spec.samples_per_class, spec.input_dim))
-    ys = np.empty(spec.n_classes * spec.samples_per_class, dtype=np.int64)
-    for c in range(spec.n_classes):
-        lo = c * spec.samples_per_class
-        hi = lo + spec.samples_per_class
-        noise = rng.standard_normal((spec.samples_per_class, spec.input_dim))
-        xs[lo:hi] = anchors[c] + spec.cluster_spread * noise
-        ys[lo:hi] = c + 1
-    test_per_class = max(1, spec.samples_per_class // 5)
-    train_idx, test_idx = [], []
-    for c in range(spec.n_classes):
-        order = c * spec.samples_per_class + rng.permutation(spec.samples_per_class)
-        test_idx.extend(order[:test_per_class])
-        train_idx.extend(order[test_per_class:])
-    train_idx = np.array(train_idx)[rng.permutation(len(train_idx))]
-    test_idx = np.array(test_idx)[rng.permutation(len(test_idx))]
-    train = ClientDataset(xs[train_idx], ys[train_idx], spec.n_classes)
-    test = ClientDataset(xs[test_idx], ys[test_idx], spec.n_classes)
+    n, per_class = spec.n_classes, spec.samples_per_class
+    # one fill draws what one standard_normal call per class would, in order;
+    # scaling and then adding rounds each element as anchor + spread * noise
+    xs = np.empty((n, per_class, spec.input_dim))
+    rng.standard_normal(out=xs)
+    xs *= spec.cluster_spread
+    xs += anchors[:, None, :]
+    xs = xs.reshape(n * per_class, spec.input_dim)
+    # row c of order is class c's permutation, as the row indices of xs
+    order = np.tile(np.arange(per_class), (n, 1))
+    rng.permuted(order, axis=1, out=order)
+    order += per_class * np.arange(n)[:, None]
+    test_per_class = max(1, per_class // 5)
+    train_idx = order[:, test_per_class:].ravel()
+    test_idx = order[:, :test_per_class].ravel()
+    train_idx = train_idx[rng.permutation(len(train_idx))]
+    test_idx = test_idx[rng.permutation(len(test_idx))]
+    # held-out rows first: the pool, which a convergence sweep frees before
+    # its rounds, is then the last block allocated (a lower peak RSS)
+    test = ClientDataset(xs[test_idx], test_idx // per_class + 1, n)
+    train = ClientDataset(xs[train_idx], train_idx // per_class + 1, n)
     return train, test
 
 
@@ -125,22 +128,21 @@ def partition_clients(pool: ClientDataset, n_clients: int, samples_per_client: i
         raise ValueError(
             f"cannot draw {need} samples from a pool of {len(pool)} without duplication"
         )
-    queues = {
-        int(lab): list(rng.permutation(pool.class_indices(lab)))
-        for lab in pool.present_labels
-    }
-    labels_cycle = sorted(queues)
+    # each present label's queue, in label order; a shard takes from a
+    # queue's end, so the unused part of a queue is always its front
+    queues = [rng.permutation(pool.class_indices(lab)) for lab in pool.present_labels]
     dominant_quota = samples_per_client // 2
-    assigned: list[list[int]] = []
+    dominant_shards = []
     for cid in range(n_clients):
-        dominant = labels_cycle[cid % len(labels_cycle)]
-        take = min(dominant_quota, len(queues[dominant]))
-        shard = [queues[dominant].pop() for _ in range(take)]
-        assigned.append(shard)
-    leftovers = [idx for lab in labels_cycle for idx in queues[lab]]
-    leftovers = list(rng.permutation(leftovers)) if leftovers else []
-    for cid in range(n_clients):
-        shortfall = samples_per_client - len(assigned[cid])
-        assigned[cid].extend(leftovers.pop() for _ in range(shortfall))
-    return [pool.subset(np.array(sorted(shard))) for shard in assigned]
-
+        dominant = cid % len(queues)
+        keep = max(len(queues[dominant]) - dominant_quota, 0)
+        dominant_shards.append(queues[dominant][keep:])
+        queues[dominant] = queues[dominant][:keep]
+    leftovers = rng.permutation(np.concatenate(queues))
+    end = len(leftovers)
+    shards = []
+    for dominant_shard in dominant_shards:
+        start = end - (samples_per_client - len(dominant_shard))
+        shards.append(np.sort(np.concatenate([dominant_shard, leftovers[start:end]])))
+        end = start
+    return [pool.subset(shard) for shard in shards]

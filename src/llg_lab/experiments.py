@@ -435,6 +435,7 @@ def _run_convergence(config: ExperimentConfig, progress=None) -> list[ResultRow]
     pool, test = synth_generate(config.data_spec())
     clients = partition_clients(pool, config.n_clients, config.samples_per_client,
                                 rng_for(master, _STREAM_PARTITION))
+    del pool  # the rounds read only the clients and the held-out set
     net = _build_model(config, seed_of(master, kind_idx, _STREAM_MODEL))
     spec = BatchSpec(batch_size, config.balance)
     # FedSGD is the gamma = 1 case of FedAvg, bit for bit

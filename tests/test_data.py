@@ -3,8 +3,73 @@ client partitioning."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from llg_lab.data import ClientDataset, SyntheticSpec, partition_clients, synth_generate
+from llg_lab.data import (
+    ClientDataset,
+    SyntheticSpec,
+    class_anchors,
+    partition_clients,
+    synth_generate,
+)
+
+
+def per_class_generate(spec: SyntheticSpec) -> tuple[ClientDataset, ClientDataset]:
+    """Reference: one noise draw, one anchor sum and one permutation per
+    class, then one index list per split."""
+    rng = np.random.default_rng(spec.seed)
+    anchors = class_anchors(spec, rng)
+    xs = np.empty((spec.n_classes * spec.samples_per_class, spec.input_dim))
+    ys = np.empty(spec.n_classes * spec.samples_per_class, dtype=np.int64)
+    for c in range(spec.n_classes):
+        lo = c * spec.samples_per_class
+        hi = lo + spec.samples_per_class
+        noise = rng.standard_normal((spec.samples_per_class, spec.input_dim))
+        xs[lo:hi] = anchors[c] + spec.cluster_spread * noise
+        ys[lo:hi] = c + 1
+    test_per_class = max(1, spec.samples_per_class // 5)
+    train_idx, test_idx = [], []
+    for c in range(spec.n_classes):
+        order = c * spec.samples_per_class + rng.permutation(spec.samples_per_class)
+        test_idx.extend(order[:test_per_class])
+        train_idx.extend(order[test_per_class:])
+    train_idx = np.array(train_idx)[rng.permutation(len(train_idx))]
+    test_idx = np.array(test_idx)[rng.permutation(len(test_idx))]
+    return (ClientDataset(xs[train_idx], ys[train_idx], spec.n_classes),
+            ClientDataset(xs[test_idx], ys[test_idx], spec.n_classes))
+
+
+def popped_partition(pool: ClientDataset, n_clients: int, samples_per_client: int,
+                     rng: np.random.Generator) -> list[ClientDataset]:
+    """Reference: per-label index lists that each shard pop()s from."""
+    queues = {int(lab): list(rng.permutation(pool.class_indices(lab)))
+              for lab in pool.present_labels}
+    labels_cycle = sorted(queues)
+    assigned = []
+    for cid in range(n_clients):
+        queue = queues[labels_cycle[cid % len(labels_cycle)]]
+        take = min(samples_per_client // 2, len(queue))
+        assigned.append([queue.pop() for _ in range(take)])
+    leftovers = [idx for lab in labels_cycle for idx in queues[lab]]
+    leftovers = list(rng.permutation(leftovers)) if leftovers else []
+    for shard in assigned:
+        shard.extend(leftovers.pop() for _ in range(samples_per_client - len(shard)))
+    return [pool.subset(np.array(sorted(shard))) for shard in assigned]
+
+
+def same_bytes(a: ClientDataset, b: ClientDataset) -> bool:
+    return (a.xs.tobytes() == b.xs.tobytes() and a.ys.dtype == b.ys.dtype
+            and a.ys.tobytes() == b.ys.tobytes())
+
+
+@st.composite
+def partition_cases(draw):
+    n_classes = draw(st.integers(2, 6))
+    ys = draw(st.lists(st.integers(1, n_classes), min_size=1, max_size=80))
+    n_clients = draw(st.integers(1, min(12, len(ys))))
+    samples_per_client = draw(st.integers(1, len(ys) // n_clients))
+    return n_classes, ys, n_clients, samples_per_client, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSynthetic:
@@ -45,6 +110,19 @@ class TestSynthetic:
         accuracy = float((scores.argmax(axis=1) + 1 == test.ys).mean())
         assert accuracy > 0.9
 
+    @given(n_classes=st.integers(2, 12), input_dim=st.integers(1, 70),
+           samples_per_class=st.integers(2, 60),
+           cluster_spread=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_equals_the_per_class_reference_bit_for_bit(self, n_classes, input_dim,
+                                                        samples_per_class, cluster_spread,
+                                                        seed):
+        # input_dim below n_classes takes class_anchors' normalized-rows branch
+        spec = SyntheticSpec(n_classes, input_dim, samples_per_class, cluster_spread, seed)
+        for got, want in zip(synth_generate(spec), per_class_generate(spec)):
+            assert same_bytes(got, want)
+
     @pytest.mark.parametrize("kwargs", [
         {"n_classes": 1}, {"samples_per_class": 0}, {"samples_per_class": 1},
         {"cluster_spread": -0.1}, {"cluster_spread": float("nan")},
@@ -75,6 +153,22 @@ class TestPartition:
             assert len(client) == 80
             dominant = cid % 10 + 1
             assert (client.ys == dominant).sum() >= 40
+
+    @given(partition_cases())
+    @settings(deadline=None, max_examples=150)
+    # 8 of 9 rows used, and label 2's queue runs dry before its quota of 2
+    @example((2, [1] * 8 + [2], 2, 4, 0))
+    # every row used
+    @example((2, [1, 2, 1, 2], 2, 2, 5))
+    def test_equals_the_popped_lists_bit_for_bit(self, case):
+        n_classes, ys, n_clients, samples_per_client, seed = case
+        pool = ClientDataset(np.arange(2.0 * len(ys)).reshape(-1, 2), np.array(ys), n_classes)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = partition_clients(pool, n_clients, samples_per_client, rng)
+        want = popped_partition(pool, n_clients, samples_per_client, reference_rng)
+        assert len(got) == len(want) == n_clients
+        assert all(same_bytes(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_oversubscription_rejected(self):
         train, _ = synth_generate(SyntheticSpec(

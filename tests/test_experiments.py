@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -494,6 +495,24 @@ class TestRunExperiment:
         assert counts["held_out"] == 3
         assert counts["row_sums"] == 0
 
+    def test_convergence_rounds_hold_no_reference_to_the_training_pool(self, monkeypatch):
+        # partition_clients is the pool's only reader; the rounds keep the
+        # clients and the held-out set alone
+        pools = []
+        generate = experiments.synth_generate
+
+        def generate_recording(spec):
+            pool, test = generate(spec)
+            pools.append(weakref.ref(pool))
+            return pool, test
+
+        monkeypatch.setattr(experiments, "synth_generate", generate_recording)
+        config = small_config(experiment="convergence_sweep", attacks=("llg",), rounds=2,
+                              n_clients=4, clients_per_round=2, samples_per_client=40)
+        alive = []
+        run_experiment(config, progress=lambda: alive.append(pools[0]() is not None))
+        assert alive == [False, False]
+
     def test_defense_arms_stay_isolated(self):
         # an arm's rows are those of a run with that defense alone; noise is
         # left out because its stream is keyed by the defense's index
@@ -617,6 +636,16 @@ class TestCli:
         out_dir = tmp_path / "results"
         cli.main(["run", "--config", str(config), "--out", str(out_dir), "--trials", "1"])
         assert len(csv_records(out_dir / "config.csv")) == 2
+
+    def test_trials_override_rejected_on_a_convergence_sweep(self, tmp_path, capsys):
+        config = write_config(tmp_path, experiment="convergence_sweep", rounds=2, n_clients=4,
+                              clients_per_round=2, samples_per_client=10)
+        out_dir = tmp_path / "results"
+        assert cli.main(["run", "--config", str(config), "--out", str(out_dir),
+                         "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--trials" in err and "runs `rounds` rounds (2 in" in err
+        assert not (out_dir / "config.csv").exists()
 
     @pytest.mark.parametrize("overrides, field", [
         pytest.param({"experiment": "nope"}, "experiment", id="unknown-experiment"),

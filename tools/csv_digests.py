@@ -2,12 +2,15 @@
 
     python3 tools/csv_digests.py
 
-Runs every configs/*.json at 3 trials (convergence.json also at 40 rounds)
-and each bench/harness.py workload at master seeds 1 and 7, one after the
-other in this process with BLAS pinned to one thread, and prints one
-"<run>  <sha256>" line per CSV. A change that must keep the CSV bytes prints
-the same 13 lines as its parent. The bits depend on the BLAS build, so
-compare two commits on one machine; this is not part of the test suite.
+Runs configs/calibration.json at its full trials, every other grid config
+at 3 trials, convergence.json at 40 rounds, and each bench/harness.py
+workload at master seeds 1 and 7, one after the other in this process with
+BLAS pinned to one thread, and prints one "<run>  <sha256>" line per CSV. A
+change that must keep the CSV bytes prints the same 13 lines as its parent.
+Calibration's score column prints every repr digit of |rho|, and at 3
+trials its digest missed last-digit moves that the full-size CSV shows; the
+full run takes about 0.8 s. The bits depend on the BLAS build, so compare
+two commits on one machine; this is not part of the test suite.
 Each run's wall time goes to stderr ("<run>  <seconds> s"), so stdout stays
 comparable with diff across commits.
 """
@@ -43,9 +46,11 @@ def digest(config) -> str:
 
 def runs():
     for path in sorted((ROOT / "configs").glob("*.json")):
-        config = replace(llg_lab.load_config(path), trials=3)
+        config = llg_lab.load_config(path)
         if config.experiment == "convergence_sweep":
             config = replace(config, rounds=40)
+        elif config.experiment != "calibration_plot":
+            config = replace(config, trials=3)
         yield path.name, config
     for name in WORKLOADS:
         for seed in SEEDS:
