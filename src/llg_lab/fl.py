@@ -29,7 +29,7 @@ class BatchSpec:
     Unbalanced batches take floor(B/2) samples of a dominant label, floor(B/4)
     of a second label, and the remainder uniformly at random; balanced batches
     are drawn uniformly from the dataset. make_batch draws the (dominant,
-    secondary) pair for every batch unless it is given one.
+    secondary) pair for every batch.
     """
 
     size: int
@@ -45,40 +45,33 @@ class BatchSpec:
                              f"got {self.balance!r}")
 
 
-def _present_labels(dataset: ClientDataset) -> np.ndarray:
-    present = dataset.present_labels
-    if len(present) < 2:
-        raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
-    return present
-
-
 @functools.cache
-def _choice_bounds(n: int, count: int) -> np.ndarray:
-    """The inclusive bound of each draw that rng.choice(n, count,
+def _choice_highs(n: int, count: int) -> np.ndarray:
+    """The exclusive high of each draw that rng.choice(n, count,
     replace=count > n) makes, in order, as a read-only array.
 
     numpy makes these draws, and those of rng.integers(0, highs) for an
     array of highs, one at a time through one bounded-draw routine. So
-    rng.integers(0, bounds + 1) makes the same draws in one call and leaves
-    the generator in the same state; a bound of 0 draws nothing.
+    rng.integers(0, highs) makes the same draws in one call and leaves the
+    generator in the same state; a high of 1 draws nothing.
 
-    With replacement that is count draws in [0, n - 1]. Without, numpy runs
+    With replacement that is count draws in [0, n). Without, numpy runs
     Floyd's algorithm, one draw in [0, j] for j = n - count ... n - 1, then
     shuffles its picks with one draw in [0, i] for i = count - 1 ... 1. Its
     other path, a tail shuffle, needs n > 10,000 and count > n // 50, which
     no count up to 64 (half of the largest batch) meets.
     """
     if count > n:
-        bounds = np.full(count, n - 1, dtype=np.int64)
+        highs = np.full(count, n, dtype=np.int64)
     else:
-        bounds = np.concatenate([np.arange(n - count, n), np.arange(count - 1, 0, -1)])
-    bounds.setflags(write=False)
-    return bounds
+        highs = np.concatenate([np.arange(n - count + 1, n + 1), np.arange(count, 1, -1)])
+    highs.setflags(write=False)
+    return highs
 
 
 def _choice_picks(n: int, count: int, draws) -> list[int]:
     """rng.choice(n, count, replace=count > n) from its draws: takes the
-    len(_choice_bounds(n, count)) draws it needs from the iterator draws and
+    len(_choice_highs(n, count)) draws it needs from the iterator draws and
     applies Floyd's repeat rule (a value drawn before is replaced by j) and
     the shuffle's swaps to them."""
     picks = list(itertools.islice(draws, count))
@@ -101,35 +94,31 @@ def _step_highs(dominant: int, secondary: int, rows: int, size: int, others: int
     free rows out of all rows, then, when others > 0, the next step's
     secondary label out of others."""
     n_dom, n_sec = size // 2, size // 4
-    highs = 1 + np.concatenate([_choice_bounds(dominant, n_dom),
-                                _choice_bounds(secondary, n_sec),
-                                np.full(size - n_dom - n_sec, rows - 1),
-                                np.full(1 if others else 0, others - 1)])
+    highs = np.concatenate([_choice_highs(dominant, n_dom), _choice_highs(secondary, n_sec),
+                            np.full(size - n_dom - n_sec, rows),
+                            np.full(1 if others else 0, others)])
     highs.setflags(write=False)
     return highs
 
 
 def _round_indices(dataset: ClientDataset, spec: BatchSpec, gamma: int,
-                   rng: np.random.Generator,
-                   pair: tuple[int, int] | None = None) -> np.ndarray:
-    """One client's (gamma, B) row indices for a FedAvg round, drawn in the
-    order a make_batch per step would draw them.
+                   rng: np.random.Generator) -> np.ndarray:
+    """One client's (gamma, B) row indices for a FedAvg round; gamma=1 is
+    make_batch's draw.
 
     The round keeps one dominant label (the client's data skew); the
-    secondary is redrawn per batch. The first pair is drawn exactly like
-    make_batch would, unless pair gives it, so gamma=1 is make_batch's draw.
-    A balanced round is one generator call; an unbalanced one is one for
-    the pair (none when pair is given), then one per step, which also draws
-    the next step's secondary.
+    secondary is redrawn per batch. A balanced round is one generator call;
+    an unbalanced one is one for the pair, then one per step, which also
+    draws the next step's secondary.
     """
     size = spec.size
     if spec.balance == "balanced":
         return rng.integers(0, len(dataset), size=(gamma, size))
-    present = _present_labels(dataset)
-    if pair is None:
-        bounds = _choice_bounds(len(present), 2)
-        pair = present[_choice_picks(len(present), 2, iter(rng.integers(0, bounds + 1).tolist()))]
-    dominant, secondary = pair
+    present = dataset.present_labels
+    if len(present) < 2:
+        raise ValueError("unbalanced batches need >= 2 distinct labels in the dataset")
+    draws = iter(rng.integers(0, _choice_highs(len(present), 2)).tolist())
+    dominant, secondary = present[_choice_picks(len(present), 2, draws)]
     others = present[present != dominant]
     n_dom, n_sec = size // 2, size // 4
     pool = dataset.class_indices(dominant)
@@ -148,30 +137,11 @@ def _round_indices(dataset: ClientDataset, spec: BatchSpec, gamma: int,
     return table
 
 
-def batch_indices(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
-                  pair: tuple[int, int] | None = None) -> np.ndarray:
-    """The row indices of one batch: make_batch's draws without its gather,
-    a round of one step."""
-    if pair is not None:
-        if spec.balance == "balanced":
-            raise ValueError("a balanced batch takes no label pair")
-        if pair[0] == pair[1]:
-            raise ValueError("dominant and secondary labels must differ")
-        for label in pair:
-            if not len(dataset.class_indices(label)):
-                raise ValueError(f"pair label {int(label)} is absent from the dataset")
-    return _round_indices(dataset, spec, 1, rng, pair)[0]
-
-
-def make_batch(dataset: ClientDataset, spec: BatchSpec, rng: np.random.Generator,
-               pair: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one batch; returns (features, labels) with labels in [1, n].
-
-    An unbalanced batch takes its (dominant, secondary) labels from pair, or
-    draws two distinct present labels when pair is None; a balanced batch
-    takes no pair.
-    """
-    idx = batch_indices(dataset, spec, rng, pair)
+def make_batch(dataset: ClientDataset, spec: BatchSpec,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one batch, a round of one step; returns (features, labels) with
+    labels in [1, n]."""
+    idx = _round_indices(dataset, spec, 1, rng)[0]
     return dataset.xs[idx], dataset.ys[idx]
 
 
@@ -201,8 +171,8 @@ def local_train_fedavg(net: Network, datasets: list[ClientDataset], spec: BatchS
     """Run gamma local SGD steps per client on its own copy of the model
     and share each client's summed per-step gradients.
 
-    Client c draws from datasets[c] with rngs[c] alone: its gamma batches,
-    in the order a make_batch per step draws them, before any training. So
+    Client c draws its whole round of gamma batches from datasets[c] with
+    rngs[c] alone, before any training. So
     no two entries of rngs may share a bit generator. The clients train as
     one network with a leading client axis (`net.replicas`), row c of which
     has the bits client c gets alone. Returns one (update, truth) per client,

@@ -7,29 +7,39 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def integer_labels(labels, n_classes: int) -> np.ndarray:
-    """labels as an int64 array, checked to be integers in [1, n_classes]:
-    the one label check of every entry point that reads labels.
+def whole_numbers(values, name: str) -> np.ndarray:
+    """values as an int64 array, checked to hold whole numbers: the one
+    whole-number check of labels, label counts and sample counts.
 
     Integer arrays load as they are and float arrays of whole numbers, such
-    as 3.0, as those integers. A boolean, non-finite or fractional label
-    raises ValueError naming the first one: a cast would truncate 1.9 to 1
-    and read True as label 1. A label outside [1, n_classes] raises too.
+    as 3.0, as those integers. A boolean, non-finite or fractional value
+    raises ValueError naming the first one (name says what a value is, such
+    as "label"): a cast would truncate 1.9 to 1 and read True as 1.
     """
-    arr = np.asarray(labels)
+    arr = np.asarray(values)
     if arr.dtype.kind in "iu" or not arr.size:
-        ints = arr.astype(np.int64, copy=False)
-    else:
-        values = arr.astype(np.float64)
-        bad = (arr.dtype.kind == "b") | ~np.isfinite(values) | (values != np.floor(values))
-        if bad.any():
-            pos = int(np.argmax(bad))
-            why = ("boolean" if arr.dtype.kind == "b" else
-                   "fractional" if np.isfinite(values.flat[pos]) else "not finite")
-            where = pos if arr.ndim <= 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))
-            raise ValueError(f"labels must be integers; label {arr.flat[pos].item()!r} "
-                             f"at index {where} is {why}")
-        ints = values.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
+    floats = arr.astype(np.float64)
+    bad = (arr.dtype.kind == "b") | ~np.isfinite(floats) | (floats != np.floor(floats))
+    if bad.any():
+        pos = int(np.argmax(bad))
+        value = arr.flat[pos].item()
+        why = ("boolean" if arr.dtype.kind == "b" else
+               "fractional" if np.isfinite(floats.flat[pos]) else "not finite")
+        if arr.ndim == 0:
+            raise ValueError(f"{name} must be an integer; {value!r} is {why}")
+        where = pos if arr.ndim == 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))
+        raise ValueError(f"{name}s must be integers; {name} {value!r} at index {where} "
+                         f"is {why}")
+    return floats.astype(np.int64)
+
+
+def integer_labels(labels, n_classes: int) -> np.ndarray:
+    """labels as an int64 array, checked to be whole numbers (whole_numbers)
+    in [1, n_classes]: the one label check of every entry point that reads
+    labels. A label outside [1, n_classes] raises ValueError.
+    """
+    ints = whole_numbers(labels, "label")
     if ints.size and (ints.min() < 1 or ints.max() > n_classes):
         raise ValueError(f"labels must lie in [1, {n_classes}]")
     return ints
@@ -42,7 +52,7 @@ class LabelMultiset:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = whole_numbers(self.counts, "count")
         if self.counts.ndim != 1 or self.counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D vector")
         if (self.counts < 0).any():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import integer_labels
+from .labels import integer_labels, whole_numbers
 
 __all__ = [
     "Activation",
@@ -320,7 +320,7 @@ class LastLayerGradient:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.sample_count = int(self.sample_count)
+        self.sample_count = int(whole_numbers(self.sample_count, "sample_count"))
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         if self.matrix.ndim != 2:
@@ -489,8 +489,8 @@ class Network:
     def sgd_step(self, grads: Gradients, eta: float) -> "Network":
         """params <- params - eta * grads, i.e. W <- W - eta * dW for every
         parameter; invalidates existing caches."""
-        if eta < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= eta < np.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be finite and >= 0, got {eta}")
         if grads.layout != self.layout:
             raise ValueError("gradient shapes do not match layer parameters")
         self.params -= eta * grads.vector

@@ -1,6 +1,8 @@
 """Federated protocol tests: batch composition, FedSGD/FedAvg updates,
 weighted aggregation, and the FedAvg(gamma=1) == FedSGD identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +16,6 @@ from llg_lab.fl import (
     VALID_BATCH_SIZES,
     BatchSpec,
     RoundUpdate,
-    batch_indices,
     local_train_fedavg,
     local_train_fedsgd,
     make_batch,
@@ -46,36 +47,27 @@ class TestBatchSpec:
 
 
 class TestMakeBatch:
-    def test_pinned_labels_must_differ(self, pool):
-        with pytest.raises(ValueError, match="must differ"):
-            make_batch(pool, BatchSpec(4), np.random.default_rng(0), pair=(3, 3))
-
-    @pytest.mark.parametrize("pair", [(4, 2), (2, 4)])
-    def test_absent_pair_label_is_named(self, pool, pair):
-        without = pool.subset(pool.ys != 4)
-        with pytest.raises(ValueError, match="pair label 4 is absent from the dataset"):
-            make_batch(without, BatchSpec(4), np.random.default_rng(0), pair=pair)
-
-    def test_balanced_batch_takes_no_pair(self, pool):
-        with pytest.raises(ValueError, match="no label pair"):
-            make_batch(pool, BatchSpec(4, "balanced"), np.random.default_rng(0), pair=(1, 2))
-
     def test_unbalanced_composition_counts(self, pool):
         spec = BatchSpec(4, "unbalanced")
-        xs, ys = make_batch(pool, spec, np.random.default_rng(0), pair=(3, 7))
+        xs, ys = make_batch(pool, spec, np.random.default_rng(0))
         assert xs.shape == (4, 16)
-        # floor(4/2)=2 dominant, floor(4/4)=1 secondary, 1 free draw
-        assert (ys == 3).sum() >= 2
-        assert (ys == 7).sum() >= 1
+        # floor(4/2)=2 dominant, floor(4/4)=1 secondary, 1 free draw; the
+        # dominant label leads the batch and the secondary starts at B/2
+        dominant, secondary = ys[0], ys[2]
+        assert dominant != secondary
+        assert (ys == dominant).sum() >= 2
+        assert (ys == secondary).sum() >= 1
         assert len(ys) == 4
 
     def test_unbalanced_block_layout(self, pool):
-        # the free remainder may collide with the pinned labels, so check
+        # the free remainder may collide with the drawn labels, so check
         # the deterministic blocks directly
         spec = BatchSpec(8, "unbalanced")
-        _, ys = make_batch(pool, spec, np.random.default_rng(1), pair=(2, 5))
-        assert np.array_equal(ys[:4], np.full(4, 2))
-        assert np.array_equal(ys[4:6], np.full(2, 5))
+        _, ys = make_batch(pool, spec, np.random.default_rng(1))
+        dominant, secondary = ys[0], ys[4]
+        assert dominant != secondary
+        assert np.array_equal(ys[:4], np.full(4, dominant))
+        assert np.array_equal(ys[4:6], np.full(2, secondary))
 
     def test_single_sample_balanced_draw(self, pool):
         xs, ys = make_batch(pool, BatchSpec(1, "balanced"), np.random.default_rng(2))
@@ -104,9 +96,7 @@ class TestMakeBatch:
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             _, ys = make_batch(part, BatchSpec(size), rng)
-            pair = ref.choice(np.unique(part.ys), size=2, replace=False)
-            _, expected = make_batch(part, BatchSpec(size), ref, pair=tuple(pair))
-            assert np.array_equal(ys, expected)
+            assert np.array_equal(ys, part.ys[round_by_choice(part, BatchSpec(size), 1, ref)[0]])
             assert rng.random() == ref.random()
 
     def test_unbalanced_needs_two_labels(self):
@@ -129,7 +119,7 @@ def round_by_choice(dataset, spec, gamma, rng):
     size = spec.size
     if spec.balance == "balanced":
         return np.stack([rng.integers(0, len(dataset), size=size) for _ in range(gamma)])
-    present = dataset.present_labels
+    present = np.unique(dataset.ys)
     pair = rng.choice(present, size=2, replace=False)
     others = present[present != pair[0]]
     rows = []
@@ -160,7 +150,7 @@ def same_state(a, b):
 def picks_from_one_call(n, count, rng):
     """fl._choice_picks over the draws of one integers(0, highs) call, all
     of which it must use."""
-    draws = iter(rng.integers(0, fl._choice_bounds(n, count) + 1).tolist())
+    draws = iter(rng.integers(0, fl._choice_highs(n, count)).tolist())
     picks = fl._choice_picks(n, count, draws)
     assert next(draws, None) is None
     return picks
@@ -256,9 +246,11 @@ class TestDrawRewrites:
         assert table.shape == (gamma, batch_size)
         assert np.array_equal(table, round_by_choice(part, spec, gamma, ref))
         assert same_state(rng, ref)
-        # make_batch's draw half is a round of one step
-        assert np.array_equal(batch_indices(part, spec, rng),
-                              round_by_choice(part, spec, 1, ref)[0])
+        # make_batch is a round of one step
+        xs, ys = make_batch(part, spec, rng)
+        idx = round_by_choice(part, spec, 1, ref)[0]
+        assert np.array_equal(xs, part.xs[idx])
+        assert np.array_equal(ys, part.ys[idx])
         assert same_state(rng, ref)
 
 
@@ -302,14 +294,10 @@ class TestGeneratorCalls:
             assert np.array_equal(update.gradients.vector, want.gradients.vector)
             assert truth == want_truth
 
-    @pytest.mark.parametrize("spec, pair, calls", [
-        (BatchSpec(32, "unbalanced"), None, 2),
-        (BatchSpec(32, "unbalanced"), (3, 7), 1),
-        (BatchSpec(32, "balanced"), None, 1),
-    ])
-    def test_make_batch_makes_at_most_two_calls(self, pool, spec, pair, calls):
+    @pytest.mark.parametrize("balance, calls", [("unbalanced", 2), ("balanced", 1)])
+    def test_make_batch_makes_at_most_two_calls(self, pool, balance, calls):
         rng = CountingGenerator(5)
-        make_batch(pool, spec, rng, pair)
+        make_batch(pool, BatchSpec(32, balance), rng)
         assert rng.calls == calls
 
 
@@ -322,8 +310,7 @@ class TestFedSgd:
             if hasattr(layer, "W"):
                 layer.W[:] = 0.0
                 layer.b[:] = 0.0
-        xs, ys = make_batch(pool, BatchSpec(32, "unbalanced"), np.random.default_rng(4),
-                            pair=(4, 9))
+        xs, ys = make_batch(pool, BatchSpec(32, "unbalanced"), np.random.default_rng(4))
         update = local_train_fedsgd(net, xs, ys)
         g = update.last_layer().g
         counts = np.bincount(ys - 1, minlength=10)
@@ -415,6 +402,14 @@ class TestFedAvg:
         with pytest.raises(ValueError, match="gamma"):
             local_train_fedavg(net, [pool], BatchSpec(4), 0, 0.1, [np.random.default_rng(0)])
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, pool, eta):
+        net = mlp(16, 10, seed=8)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+            local_train_fedavg(net, [pool], BatchSpec(4), 2, eta, [np.random.default_rng(0)])
+        assert np.array_equal(net.params, before) and net._version == 0
+
     def test_local_steps_leave_global_model_untouched(self, pool):
         net = mlp(16, 10, seed=9)
         before = net.head.W.copy()
@@ -425,18 +420,11 @@ class TestFedAvg:
 def fedavg_one_client(net, dataset, spec, gamma, eta, rng):
     """The FedAvg trainer as it ran before clients were stacked: one client,
     a copy of the model, a step after every gradient. Kept as the oracle."""
-    pair = None
-    if spec.balance == "unbalanced":
-        present = dataset.present_labels
-        pair = rng.choice(present, size=2, replace=False)
-        others = present[present != pair[0]]
     local = net.copy()
     accumulated = None
     seen = np.zeros(net.n_classes, dtype=np.int64)
-    for step in range(gamma):
-        if pair is not None and step > 0:
-            pair = (pair[0], rng.choice(others))
-        batch, labels = make_batch(dataset, spec, rng, pair)
+    for idx in round_by_choice(dataset, spec, gamma, rng):
+        batch, labels = dataset.xs[idx], dataset.ys[idx]
         logits, cache = local.forward(batch)
         grads = local.backward(cache, output_gradient(logits, labels))
         accumulated = grads if accumulated is None else accumulated.add_(grads)
@@ -593,6 +581,16 @@ class TestServerAggregate:
     def test_empty_round_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             server_aggregate([], mlp(4, 2, seed=0), 0.1)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, pool, eta):
+        net = mlp(16, 10, seed=11)
+        xs, ys = make_batch(pool, BatchSpec(8), np.random.default_rng(14))
+        update = local_train_fedsgd(net, xs, ys)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+            server_aggregate([update], net, eta)
+        assert np.array_equal(net.params, before) and net._version == 0
 
     def test_aggregation_weights_sum_to_one(self):
         counts = np.array([3, 5, 9], dtype=float)

@@ -1,15 +1,16 @@
 """Label input checks shared by every entry point that reads labels: a
 boolean, non-finite or fractional label is rejected, never truncated, and
-so is a label outside the class range."""
+so is a label outside the class range. Label counts and sample counts take
+the same whole-number check."""
 
 import numpy as np
 import pytest
 
-from llg_lab.attack import gradient_row_sums
+from llg_lab.attack import gradient_row_sums, llg_extract, uniform_params
 from llg_lab.data import ClientDataset
 from llg_lab.labels import LabelMultiset
 from llg_lab.metrics import test_accuracy as accuracy_on
-from llg_lab.nn import output_gradient
+from llg_lab.nn import LastLayerGradient, output_gradient
 
 # every entry point reads labels of the class range [1, 3]
 ENTRY_POINTS = {
@@ -57,3 +58,40 @@ def test_whole_numbers_load_as_the_integers(entry):
 def test_a_stacked_label_is_named_by_its_position():
     with pytest.raises(ValueError, match=r"label 2\.5 at index \(1, 0\) is fractional"):
         output_gradient(np.zeros((2, 2, 3)), [[1, 2], [2.5, 3]])
+
+
+# label counts and sample counts take the same whole-number check as labels
+COUNTS = {
+    "LabelMultiset": lambda value: LabelMultiset([value, value]).counts[0],
+    "LastLayerGradient": lambda value: LastLayerGradient(np.ones((3, 2)), value).sample_count,
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@pytest.mark.parametrize("value, why", [
+    (1.9, "fractional"), (3.7, "fractional"), (0.2, "fractional"),
+    (True, "boolean"), (np.nan, "not finite"), (np.inf, "not finite"),
+], ids=["1.9", "3.7", "0.2", "True", "nan", "inf"])
+def test_a_non_integer_count_is_rejected_not_truncated(entry, value, why):
+    with pytest.raises(ValueError, match=f"must be (an integer|integers); .*is {why}"):
+        COUNTS[entry](value)
+
+
+def test_a_count_is_named_by_its_position():
+    with pytest.raises(ValueError, match=r"counts must be integers; count 0\.5 at index 2 "
+                                         r"is fractional"):
+        LabelMultiset([2, 0, 0.5])
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@pytest.mark.parametrize("value", [2.0, np.float32(2.0), 2, np.int32(2), np.uint8(2)],
+                         ids=["float", "float32", "int", "int32", "uint8"])
+def test_a_whole_count_loads_as_the_integer(entry, value):
+    count = COUNTS[entry](value)
+    assert count == 2 and isinstance(count, (int, np.int64))
+
+
+def test_extraction_returns_as_many_labels_as_the_whole_sample_count():
+    last = LastLayerGradient(np.array([[-1.0, -1.0], [0.5, 0.5], [0.25, 0.25]]), 4.0)
+    assert last.sample_count == 4
+    assert llg_extract(last, uniform_params(3, 4)).total == 4

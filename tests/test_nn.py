@@ -844,6 +844,14 @@ class TestSgdStep:
         with pytest.raises(ValueError, match=">= 0"):
             net.sgd_step(Gradients.zeros_for(net), -0.1)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, eta):
+        net = mlp(4, 3, seed=5)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+            net.sgd_step(Gradients.zeros_for(net), eta)
+        assert np.array_equal(net.params, before) and net._version == 0
+
 
 class TestConstructionRules:
     def test_single_class_rejected(self):
