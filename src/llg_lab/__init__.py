@@ -8,13 +8,11 @@ attacks, gradient-obfuscation defenses, and measurement utilities.
 
 from .attack import (
     AttackParams,
-    NoNegativeGradients,
     estimate_impact_shared,
     estimate_params_auxiliary,
     estimate_params_whitebox,
     llg_extract,
     random_guess,
-    uniform_params,
 )
 from .data import (
     ClientDataset,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientDataset
-from .labels import LabelMultiset
+from .labels import LabelMultiset, whole_numbers
 from .nn import LastLayerGradient, Network, softmax_residual
 
 DUMMY_KINDS = ("zeros", "ones", "uniform_random")
@@ -29,18 +29,13 @@ OFFSET_BATCH_SIZES = (2, 8, 32)
 IMPACT_BATCHES = 10
 
 
-class NoNegativeGradients(ValueError):
-    """No class gradient sum is negative, so the impact cannot be estimated
-    from the shared gradients alone."""
-
-
 @dataclass(frozen=True)
 class AttackParams:
-    """Impact, per-class offsets, and the sample count |D| they apply to."""
+    """Impact and per-class offsets. Extraction takes |D| from the shared
+    gradient itself."""
 
     impact: float
     offsets: np.ndarray
-    sample_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.float64))
@@ -48,23 +43,16 @@ class AttackParams:
             raise ValueError("impact must be finite")
         if not np.all(np.isfinite(self.offsets)):
             raise ValueError("offsets must be finite")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
-def uniform_params(n_classes: int, sample_count: int) -> AttackParams:
-    """Fallback parameters (impact -1/|D|, zero offsets) used when no
-    negative gradient is available to estimate from."""
-    return AttackParams(-1.0 / sample_count, np.zeros(n_classes), sample_count)
 
 
 def estimate_impact_shared(last: LastLayerGradient) -> float:
     """Impact from the shared gradient alone: the mean of the negative
     per-class sums over |D|, scaled up by (1 + 1/n), n = last.n_classes, to
-    correct for the positive entries the offsets hide."""
+    correct for the positive entries the offsets hide. With no negative sum
+    to estimate from, the impact is -1/|D|."""
     negative = last.g[last.g < 0]
     if negative.size == 0:
-        raise NoNegativeGradients("all per-class gradient sums are non-negative")
+        return -1.0 / last.sample_count
     return float(negative.sum() * (1.0 + 1.0 / last.n_classes) / last.sample_count)
 
 
@@ -92,7 +80,7 @@ def _class_means(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, starts, axis=0) / counts[:, None]
 
 
-def _params(means: np.ndarray, batch_size: int, sample_count: int) -> AttackParams:
+def _params(means: np.ndarray, batch_size: int) -> AttackParams:
     """Impact and offsets from the (n, n) per-label mean rows of single-label
     probes, row l − 1 for label l. A probe of B samples labelled l moves g[l]
     by about B impacts, so the impact sums the own-label entries times
@@ -101,11 +89,10 @@ def _params(means: np.ndarray, batch_size: int, sample_count: int) -> AttackPara
     n = len(means)
     impact = float(means.diagonal().sum() * (1.0 + 1.0 / n) / (n * batch_size))
     offsets = np.where(np.eye(n, dtype=bool), 0.0, means).sum(axis=0) / (n - 1)
-    return AttackParams(impact, offsets, sample_count)
+    return AttackParams(impact, offsets)
 
 
-def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
-                             dummy_kind: str = "zeros",
+def estimate_params_whitebox(net: Network, batch_size: int, dummy_kind: str = "zeros",
                              rng: np.random.Generator | None = None) -> AttackParams:
     """Estimate impact and offsets by probing the model with dummy data:
     LLG+'s estimator over a labelled dummy set, label-major, in one forward
@@ -128,12 +115,11 @@ def estimate_params_whitebox(net: Network, batch_size: int, sample_count: int,
     logits, penultimate = net.infer(dummies)
     rows = gradient_row_sums(logits, penultimate,
                              np.repeat(np.arange(1, n + 1), per_label))
-    return _params(_class_means(rows, np.full(n, per_label)), batch_size, sample_count)
+    return _params(_class_means(rows, np.full(n, per_label)), batch_size)
 
 
 def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
-                              aux: ClientDataset, batch_size: int,
-                              sample_count: int) -> AttackParams:
+                              aux: ClientDataset, batch_size: int) -> AttackParams:
     """Estimate impact and offsets from real samples of an auxiliary dataset
     covering every class, given the model's forward pass over aux.xs.
 
@@ -156,8 +142,7 @@ def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
             raise ValueError(f"auxiliary dataset has no samples of class {label}")
     rows = gradient_row_sums(logits, penultimate, aux.ys)
     counts = np.array([len(pool) for pool in pools])
-    return _params(_class_means(rows[np.concatenate(pools)], counts), batch_size,
-                   sample_count)
+    return _params(_class_means(rows[np.concatenate(pools)], counts), batch_size)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
@@ -178,11 +163,6 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
     n = g.size
     if params.offsets.shape != (n,):
         raise ValueError(f"expected {n} offsets, got shape {params.offsets.shape}")
-    if params.sample_count != last.sample_count:
-        raise ValueError(
-            f"params were estimated for |D|={params.sample_count} "
-            f"but the gradient came from |D|={last.sample_count}"
-        )
     target = last.sample_count
     counts = np.zeros(n, dtype=np.int64)
     # the first |D| negatives; obfuscated gradients can show more than |D|
@@ -209,6 +189,7 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
 def random_guess(n_classes: int, sample_count: int,
                  rng: np.random.Generator) -> LabelMultiset:
     """Baseline: |D| labels drawn uniformly from [1, n]."""
+    sample_count = int(whole_numbers(sample_count, "sample_count"))
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     labels = rng.integers(1, n_classes + 1, size=sample_count)

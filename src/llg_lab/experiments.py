@@ -25,13 +25,11 @@ import numpy as np
 from .attack import (
     DUMMY_KINDS,
     AttackParams,
-    NoNegativeGradients,
     estimate_impact_shared,
     estimate_params_auxiliary,
     estimate_params_whitebox,
     llg_extract,
     random_guess,
-    uniform_params,
 )
 from .data import SyntheticSpec, partition_clients, synth_generate
 from .defenses import apply_defense
@@ -356,11 +354,10 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
         elif attack == "random":
             guess = random_guess(config.n_classes, sample_count, rng)
         elif attack == "llg_star":
-            guess = estimate_params_whitebox(net, batch_size, sample_count,
-                                             dummy_kind=config.dummy_kind, rng=rng)
+            guess = estimate_params_whitebox(net, batch_size, dummy_kind=config.dummy_kind,
+                                             rng=rng)
         else:  # llg_plus; _CONFIG_RULES rejects any other name
-            guess = estimate_params_auxiliary(logits, penultimate, test, batch_size,
-                                              sample_count)
+            guess = estimate_params_auxiliary(logits, penultimate, test, batch_size)
         guesses.append((attack, guess))
     return test_accuracy(logits, test.ys), guesses
 
@@ -373,7 +370,6 @@ def _attack_rows(config: ExperimentConfig, accuracy: float, guesses: list, updat
     """
     d_idx, b_idx, trial = cell
     last = update.last_layer()
-    n, d = config.n_classes, update.sample_count
     common = dict(experiment=config.experiment, algorithm=config.algorithm_label(),
                   model=config.model, batch_size=config.batch_sizes[b_idx],
                   defense=config.defenses[d_idx].label(), trial=trial,
@@ -388,10 +384,7 @@ def _attack_rows(config: ExperimentConfig, accuracy: float, guesses: list, updat
                 score = None  # degenerate: constant counts or constant gradients
         else:
             if attack == "llg":
-                try:
-                    guess = AttackParams(estimate_impact_shared(last), np.zeros(n), d)
-                except NoNegativeGradients:
-                    guess = uniform_params(n, d)
+                guess = AttackParams(estimate_impact_shared(last), np.zeros(config.n_classes))
             extracted = guess if attack == "random" else llg_extract(last, guess)
             score = attack_success_rate(extracted, truth)
             distance = hellinger(extracted, truth)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientDataset
-from .labels import LabelMultiset
+from .labels import LabelMultiset, whole_numbers
 from .nn import Gradients, LastLayerGradient, Network, output_gradient
 
 VALID_BATCH_SIZES = tuple(2 ** k for k in range(8))
@@ -36,6 +36,7 @@ class BatchSpec:
     balance: str = "unbalanced"
 
     def __post_init__(self):
+        object.__setattr__(self, "size", int(whole_numbers(self.size, "batch size")))
         if self.size not in VALID_BATCH_SIZES:
             raise ValueError(f"batch size must be a power of two in [1, 128], got "
                              f"{self.size}; the batch sizes are the powers of two "

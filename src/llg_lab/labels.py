@@ -9,23 +9,31 @@ import numpy as np
 
 def whole_numbers(values, name: str) -> np.ndarray:
     """values as an int64 array, checked to hold whole numbers: the one
-    whole-number check of labels, label counts and sample counts.
+    whole-number check of labels, label counts, sample counts and batch
+    sizes.
 
     Integer arrays load as they are and float arrays of whole numbers, such
-    as 3.0, as those integers. A boolean, non-finite or fractional value
-    raises ValueError naming the first one (name says what a value is, such
-    as "label"): a cast would truncate 1.9 to 1 and read True as 1.
+    as 3.0, as those integers. A boolean, non-finite, fractional or out of
+    range value raises ValueError naming the first one (name says what a
+    value is, such as "label"): a cast would truncate 1.9 to 1, read True as
+    1 and wrap 2**63 to a negative int64.
     """
     arr = np.asarray(values)
     if arr.dtype.kind in "iu" or not arr.size:
-        return arr.astype(np.int64, copy=False)
+        ints = arr.astype(np.int64, copy=False)
+        # only an unsigned value of 2**63 or more turns negative
+        if arr.dtype.kind != "u" or not (ints < 0).any():
+            return ints
     floats = arr.astype(np.float64)
-    bad = (arr.dtype.kind == "b") | ~np.isfinite(floats) | (floats != np.floor(floats))
+    whole = floats == np.floor(floats)
+    bad = (arr.dtype.kind == "b") | ~whole | (np.abs(floats) >= 2.0**63)
     if bad.any():
         pos = int(np.argmax(bad))
         value = arr.flat[pos].item()
         why = ("boolean" if arr.dtype.kind == "b" else
-               "fractional" if np.isfinite(floats.flat[pos]) else "not finite")
+               "not finite" if not np.isfinite(floats.flat[pos]) else
+               "fractional" if not whole.flat[pos] else
+               "out of range: its magnitude is 2**63 or more")
         if arr.ndim == 0:
             raise ValueError(f"{name} must be an integer; {value!r} is {why}")
         where = pos if arr.ndim == 1 else tuple(map(int, np.unravel_index(pos, arr.shape)))

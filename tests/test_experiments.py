@@ -28,6 +28,9 @@ from llg_lab.experiments import (
     run_experiment,
     task_count,
 )
+from llg_lab.labels import LabelMultiset
+from llg_lab.metrics import attack_success_rate, hellinger
+from llg_lab.nn import LastLayerGradient
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -355,6 +358,28 @@ class TestRunExperiment:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=4))
         assert a != b
+
+    def test_llg_falls_back_when_no_row_sum_is_negative(self, monkeypatch):
+        # no shipped config reaches the fallback: zero the victim's head
+        # gradient, so every row sum is 0 and llg extracts with impact
+        # -1/|D| and zero offsets
+        truths = []
+        train = experiments.local_train_fedsgd
+
+        def zero_head(net, xs, ys):
+            update = train(net, xs, ys)
+            update.gradients.head[0][:] = 0.0
+            truths.append(LabelMultiset.from_labels(ys, 10))
+            return update
+
+        monkeypatch.setattr(experiments, "local_train_fedsgd", zero_head)
+        rows = run_experiment(small_config(attacks=("llg",), trials=3))
+        zero = LastLayerGradient(np.zeros((10, 1)), 8)
+        extracted = attack.llg_extract(zero, attack.AttackParams(-1.0 / 8, np.zeros(10)))
+        assert len(truths) == 3
+        assert [(r.asr, r.hellinger) for r in rows] == [
+            (attack_success_rate(extracted, truth), hellinger(extracted, truth))
+            for truth in truths]
 
     def test_fedavg_batch_sizes_scale_the_sample_count(self):
         rows = run_experiment(small_config(

@@ -1,14 +1,17 @@
 """Label input checks shared by every entry point that reads labels: a
 boolean, non-finite or fractional label is rejected, never truncated, and
-so is a label outside the class range. Label counts and sample counts take
-the same whole-number check."""
+so is a label outside the class range. Label counts, sample counts and
+batch sizes take the same whole-number check."""
+
+import re
 
 import numpy as np
 import pytest
 
-from llg_lab.attack import gradient_row_sums, llg_extract, uniform_params
+from llg_lab.attack import AttackParams, gradient_row_sums, llg_extract, random_guess
 from llg_lab.data import ClientDataset
-from llg_lab.labels import LabelMultiset
+from llg_lab.fl import BatchSpec
+from llg_lab.labels import LabelMultiset, integer_labels
 from llg_lab.metrics import test_accuracy as accuracy_on
 from llg_lab.nn import LastLayerGradient, output_gradient
 
@@ -94,4 +97,47 @@ def test_a_whole_count_loads_as_the_integer(entry, value):
 def test_extraction_returns_as_many_labels_as_the_whole_sample_count():
     last = LastLayerGradient(np.array([[-1.0, -1.0], [0.5, 0.5], [0.25, 0.25]]), 4.0)
     assert last.sample_count == 4
-    assert llg_extract(last, uniform_params(3, 4)).total == 4
+    assert llg_extract(last, AttackParams(-0.25, np.zeros(3))).total == 4
+
+
+# a whole float of magnitude 2**63 or more would wrap in the int64 cast
+INT64_ENTRIES = {
+    "LabelMultiset": lambda value: LabelMultiset([value, 1.0]).counts[0],
+    "LastLayerGradient": lambda value: LastLayerGradient(np.ones((3, 2)), value).sample_count,
+    "integer_labels": lambda value: integer_labels([value], 2**62)[0],
+}
+
+
+@pytest.mark.parametrize("entry", INT64_ENTRIES)
+@pytest.mark.parametrize("value", [2.0**63, -(2.0**63), 1e19, 1e20, 1e300, 2**63],
+                         ids=["2**63", "-2**63", "1e19", "1e20", "1e300", "int-2**63"])
+def test_a_whole_number_beyond_int64_is_out_of_range(entry, value):
+    with pytest.raises(ValueError, match="is out of range"):
+        INT64_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", INT64_ENTRIES)
+def test_a_whole_number_below_2_to_the_63_loads(entry):
+    assert INT64_ENTRIES[entry](2.0**62) == 2**62
+
+
+# sizes take the whole-number check: a whole float loads as the int
+SIZES = {
+    "BatchSpec": lambda size: BatchSpec(size).size,
+    "random_guess": lambda size: random_guess(10, size, np.random.default_rng(0)).total,
+}
+
+
+@pytest.mark.parametrize("entry", SIZES)
+@pytest.mark.parametrize("size, why", [
+    (8.0, None), (np.float32(8.0), None), (2.5, "fractional"), (True, "boolean"),
+    (np.nan, "not finite"), (np.inf, "not finite"),
+], ids=["8.0", "float32", "2.5", "True", "nan", "inf"])
+def test_a_size_takes_the_whole_number_check(entry, size, why):
+    if why is None:
+        loaded = SIZES[entry](size)
+        assert loaded == 8 and type(loaded) is int
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer; {size!r} "
+                                                       f"is {why}")):
+            SIZES[entry](size)

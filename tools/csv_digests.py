@@ -7,6 +7,8 @@ at 3 trials, convergence.json at 40 rounds, and each bench/harness.py
 workload at master seeds 1 and 7, one after the other in this process with
 BLAS pinned to one thread, and prints one "<run>  <sha256>" line per CSV. A
 change that must keep the CSV bytes prints the same 13 lines as its parent.
+No run reaches the llg fallback (no negative row sum to estimate the impact
+from), so a bit-for-bit claim on that path rests on the tests.
 Calibration's score column prints every repr digit of |rho|, and at 3
 trials its digest missed last-digit moves that the full-size CSV shows; the
 full run takes about 0.8 s. The bits depend on the BLAS build, so compare
