@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientDataset
-from .labels import LabelMultiset, whole_numbers
+from .labels import LabelMultiset, at_least_one, integer_labels
 from .nn import LastLayerGradient, Network, softmax_residual
 
 DUMMY_KINDS = ("zeros", "ones", "uniform_random")
@@ -72,36 +71,16 @@ def gradient_row_sums(logits: np.ndarray, penultimate: np.ndarray, labels) -> np
     return rows
 
 
-def _class_means(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The (n, n) mean rows of rows sorted by label, counts[l − 1] rows of
-    label l: row l − 1 is label l's mean. Every count is at least one, so
-    each label's rows are one reduceat segment."""
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return np.add.reduceat(rows, starts, axis=0) / counts[:, None]
-
-
-def _params(means: np.ndarray, batch_size: int) -> AttackParams:
-    """Impact and offsets from the (n, n) per-label mean rows of single-label
-    probes, row l − 1 for label l. A probe of B samples labelled l moves g[l]
-    by about B impacts, so the impact sums the own-label entries times
-    (1 + 1/n)/(n·B). A probe of label j shows the offset of every class
-    i != j, so offset i averages column i over the n − 1 other labels."""
-    n = len(means)
-    impact = float(means.diagonal().sum() * (1.0 + 1.0 / n) / (n * batch_size))
-    offsets = np.where(np.eye(n, dtype=bool), 0.0, means).sum(axis=0) / (n - 1)
-    return AttackParams(impact, offsets)
-
-
 def estimate_params_whitebox(net: Network, batch_size: int, dummy_kind: str = "zeros",
                              rng: np.random.Generator | None = None) -> AttackParams:
     """Estimate impact and offsets by probing the model with dummy data:
-    LLG+'s estimator over a labelled dummy set, label-major, in one forward
-    pass. zeros and ones are one row per label, since every probe of a
-    label is the same input. uniform_random draws the paper's per-label
-    budget, IMPACT_BATCHES probes of B plus one of each OFFSET_BATCH_SIZES,
-    and pools it: a probe mean has the same expectation whatever its size."""
+    estimate_params_auxiliary of a label-major dummy set's forward pass. A
+    zeros or ones set is one row per label, as every probe of a label is the
+    same input. A uniform_random set pools the paper's per-label budget,
+    IMPACT_BATCHES probes of B and one of each OFFSET_BATCH_SIZES."""
     if dummy_kind not in DUMMY_KINDS:
         raise ValueError(f"unknown dummy kind {dummy_kind!r}; use one of {DUMMY_KINDS}")
+    batch_size = at_least_one(batch_size, "batch size")
     n = net.n_classes
     input_dim = int(np.prod(net.input_shape))
     if dummy_kind == "uniform_random":
@@ -112,37 +91,40 @@ def estimate_params_whitebox(net: Network, batch_size: int, dummy_kind: str = "z
     else:
         per_label = 1
         dummies = np.full((n, input_dim), 0.0 if dummy_kind == "zeros" else 1.0)
-    logits, penultimate = net.infer(dummies)
-    rows = gradient_row_sums(logits, penultimate,
-                             np.repeat(np.arange(1, n + 1), per_label))
-    return _params(_class_means(rows, np.full(n, per_label)), batch_size)
+    labels = np.repeat(np.arange(1, n + 1), per_label)
+    return estimate_params_auxiliary(*net.infer(dummies), labels, batch_size)
 
 
-def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray,
-                              aux: ClientDataset, batch_size: int) -> AttackParams:
-    """Estimate impact and offsets from real samples of an auxiliary dataset
-    covering every class, given the model's forward pass over aux.xs.
+def estimate_params_auxiliary(logits: np.ndarray, penultimate: np.ndarray, labels,
+                              batch_size: int) -> AttackParams:
+    """Estimate impact and offsets from labelled samples of every class,
+    given the model's forward pass over them: real auxiliary samples (LLG+)
+    or dummies (LLG*, estimate_params_whitebox). Nothing is drawn.
 
-    The paper averages the rows of sampled single-label probe batches.
-    _params is linear in the probe means, and a probe mean's expectation,
-    drawn with or without replacement, is its class's mean row; so this is
-    the expected estimate, _params of the (n, n) class mean rows. Nothing
-    is drawn.
+    A sampled probe mean's expectation is its class's mean row, and the
+    estimate is linear in the probe means, so this is the expected estimate
+    over the (n, n) class mean rows. A probe of B samples labelled l moves
+    g[l] by about B impacts: the impact sums the own-label entries times
+    (1 + 1/n)/(n·B). A probe of label j shows the offset of every class
+    i != j: offset i averages column i over the n − 1 other labels.
     """
+    batch_size = at_least_one(batch_size, "batch size")
     if np.ndim(logits) != 2:
         raise ValueError(f"logits must be (B, n), got shape {np.shape(logits)}")
     if len(penultimate) != len(logits):
         raise ValueError(f"{len(logits)} logit rows but {len(penultimate)} penultimate rows")
-    if len(logits) != len(aux):
-        raise ValueError(f"{len(logits)} forward rows for {len(aux)} auxiliary samples")
     n = logits.shape[1]
-    pools = [aux.class_indices(label) for label in range(1, n + 1)]
-    for label, pool in enumerate(pools, start=1):
-        if len(pool) == 0:
-            raise ValueError(f"auxiliary dataset has no samples of class {label}")
-    rows = gradient_row_sums(logits, penultimate, aux.ys)
-    counts = np.array([len(pool) for pool in pools])
-    return _params(_class_means(rows[np.concatenate(pools)], counts), batch_size)
+    ys = integer_labels(labels, n)
+    rows = gradient_row_sums(logits, penultimate, ys)
+    counts = np.bincount(ys - 1, minlength=n)
+    if not counts.all():
+        raise ValueError(f"the labelled set has no samples of class {np.argmin(counts) + 1}")
+    # a stable sort by label: a label's rows, in index order, are one segment
+    order = np.argsort(ys, kind="stable")
+    means = np.add.reduceat(rows[order], np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    impact = float(means.diagonal().sum() * (1.0 + 1.0 / n) / (n * batch_size))
+    offsets = np.where(np.eye(n, dtype=bool), 0.0, means).sum(axis=0) / (n - 1)
+    return AttackParams(impact, offsets)
 
 
 def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
@@ -189,8 +171,6 @@ def llg_extract(last: LastLayerGradient, params: AttackParams) -> LabelMultiset:
 def random_guess(n_classes: int, sample_count: int,
                  rng: np.random.Generator) -> LabelMultiset:
     """Baseline: |D| labels drawn uniformly from [1, n]."""
-    sample_count = int(whole_numbers(sample_count, "sample_count"))
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    sample_count = at_least_one(sample_count, "sample_count")
     labels = rng.integers(1, n_classes + 1, size=sample_count)
     return LabelMultiset.from_labels(labels, n_classes)

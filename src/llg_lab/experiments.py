@@ -357,7 +357,7 @@ def _guesses(config: ExperimentConfig, net, test, batch_size: int, sample_count:
             guess = estimate_params_whitebox(net, batch_size, dummy_kind=config.dummy_kind,
                                              rng=rng)
         else:  # llg_plus; _CONFIG_RULES rejects any other name
-            guess = estimate_params_auxiliary(logits, penultimate, test, batch_size)
+            guess = estimate_params_auxiliary(logits, penultimate, test.ys, batch_size)
         guesses.append((attack, guess))
     return test_accuracy(logits, test.ys), guesses
 

@@ -16,9 +16,13 @@ def whole_numbers(values, name: str) -> np.ndarray:
     as 3.0, as those integers. A boolean, non-finite, fractional or out of
     range value raises ValueError naming the first one (name says what a
     value is, such as "label"): a cast would truncate 1.9 to 1, read True as
-    1 and wrap 2**63 to a negative int64.
+    1 and wrap 2**63 to a negative int64. Any other dtype (strings, objects,
+    complex) raises ValueError naming it: a cast would parse "3" as 3.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        what = f"{name}s must be real numbers" if arr.ndim else f"{name} must be a real number"
+        raise ValueError(f"{what}; got dtype {arr.dtype}")
     if arr.dtype.kind in "iu" or not arr.size:
         ints = arr.astype(np.int64, copy=False)
         # only an unsigned value of 2**63 or more turns negative
@@ -40,6 +44,14 @@ def whole_numbers(values, name: str) -> np.ndarray:
         raise ValueError(f"{name}s must be integers; {name} {value!r} at index {where} "
                          f"is {why}")
     return floats.astype(np.int64)
+
+
+def at_least_one(value, name: str) -> int:
+    """value, a sample count or a batch size, as an int >= 1 (whole_numbers)."""
+    value = int(whole_numbers(value, name))
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def integer_labels(labels, n_classes: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import integer_labels, whole_numbers
+from .labels import at_least_one, integer_labels
 
 __all__ = [
     "Activation",
@@ -320,9 +320,7 @@ class LastLayerGradient:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.sample_count = int(whole_numbers(self.sample_count, "sample_count"))
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        self.sample_count = at_least_one(self.sample_count, "sample_count")
         if self.matrix.ndim != 2:
             raise ValueError(f"matrix must be (n, h), got shape {self.matrix.shape}")
         self.g = self.matrix.sum(axis=1)

@@ -109,7 +109,7 @@ def test_c03_calibrated_gradients_correlate_with_counts():
                 xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
                 update = local_train_fedsgd(net, xs, ys)
                 logits, cache = net.forward(test.xs)
-                params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size)
+                params = estimate_params_auxiliary(logits, cache.penultimate, test.ys, batch_size)
                 calibrated.extend(update.last_layer().g - params.offsets)
                 lam.extend(LabelMultiset.from_labels(ys, 10).counts)
             rho = abs(pearson(np.array(calibrated), np.array(lam, dtype=float)))
@@ -313,7 +313,7 @@ def test_c08_deeper_cnn_keeps_its_head_under_compression():
                 defended = apply_defense(update, compression, rng, Gradients.zeros_for(net))
                 kept.append(float(np.mean(defended.gradients.head[0] != 0)))
                 logits, cache = net.forward(aux.xs)
-                params = estimate_params_auxiliary(logits, cache.penultimate, aux, 32)
+                params = estimate_params_auxiliary(logits, cache.penultimate, aux.ys, 32)
                 extracted = llg_extract(defended.last_layer(), params)
                 attacked.append(attack_success_rate(extracted, truth))
                 baseline.append(attack_success_rate(random_guess(10, 32, rng), truth))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from llg_lab import attack
 from llg_lab.attack import (
+    DUMMY_KINDS,
     IMPACT_BATCHES,
     OFFSET_BATCH_SIZES,
     AttackParams,
@@ -228,11 +229,22 @@ def sampled_auxiliary(rows, aux, batch_size, rng):
     return loop_estimates(aux.n_classes, batch_size, rows_for_label)
 
 
+def params_of_means(means, batch_size):
+    """Impact and offsets of (n, n) per-label mean rows, row l − 1 for label
+    l, by the estimators' two formulas written out: the impact sums the
+    own-label entries times (1 + 1/n)/(n·B), and offset i averages column i
+    over the n − 1 other labels."""
+    n = len(means)
+    impact = float(means.diagonal().sum() * (1.0 + 1.0 / n) / (n * batch_size))
+    offsets = np.where(np.eye(n, dtype=bool), 0.0, means).sum(axis=0) / (n - 1)
+    return AttackParams(impact, offsets)
+
+
 def class_mean_params(rows, ys, n, batch_size):
-    """_params of the per-class mean rows, averaged one class at a time: the
-    oracle of the auxiliary estimator's one reduction."""
+    """params_of_means of the per-class mean rows, averaged one class at a
+    time: the oracle of the auxiliary estimator's one reduction."""
     means = np.stack([rows[ys == label].mean(axis=0) for label in range(1, n + 1)])
-    return attack._params(means, batch_size)
+    return params_of_means(means, batch_size)
 
 
 def loop_rows_for_label(net, kind, rng):
@@ -337,13 +349,40 @@ class TestProbeRowSums:
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         params = estimate_params_whitebox(net, batch_size, kind, rng)
         rows = forward_rows(net, np.full((n, 64), fill), np.arange(1, n + 1))
-        table = attack._params(rows, batch_size)
+        table = params_of_means(rows, batch_size)
         assert params.impact == table.impact
         assert params.offsets.tobytes() == table.offsets.tobytes()
         impact, offsets = loop_estimates(n, batch_size, loop_rows_for_label(net, kind, loop_rng))
         np.testing.assert_allclose(params.impact, impact, rtol=1e-12, atol=0)
         np.testing.assert_allclose(params.offsets, offsets, rtol=1e-12, atol=0)
         assert rng.random() == loop_rng.random()
+
+    @settings(deadline=None, max_examples=40)
+    @given(model=st.sampled_from(["mlp", "cnn"]),
+           activation=st.sampled_from(["sigmoid", "relu"]),
+           batch_size=st.integers(1, 128),
+           kind=st.sampled_from(DUMMY_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_whitebox_is_the_auxiliary_estimate_of_its_dummy_pass(self, model, activation,
+                                                                   batch_size, kind, seed):
+        # LLG* is LLG+ over a labelled dummy set: the same dummies, labelled
+        # label-major, give the same estimate bit for bit, and the dummy
+        # draw leaves the generator where the reference draw does
+        net = probe_net(model, activation, seed)
+        n, input_dim = net.n_classes, int(np.prod(net.input_shape))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = estimate_params_whitebox(net, batch_size, kind, rng)
+        if kind == "uniform_random":
+            per_label = IMPACT_BATCHES * batch_size + sum(OFFSET_BATCH_SIZES)
+            dummies = reference_rng.random((n * per_label, input_dim))
+        else:
+            per_label = 1
+            dummies = np.full((n, input_dim), 0.0 if kind == "zeros" else 1.0)
+        labels = np.repeat(np.arange(1, n + 1), per_label)
+        expected = estimate_params_auxiliary(*net.infer(dummies), labels, batch_size)
+        assert params.impact == expected.impact
+        assert params.offsets.tobytes() == expected.offsets.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @settings(deadline=None, max_examples=30)
     @given(model=st.sampled_from(["mlp", "cnn"]),
@@ -387,7 +426,7 @@ class TestProbeRowSums:
         real = attack.gradient_row_sums
         monkeypatch.setattr(attack, "gradient_row_sums",
                             lambda *args: calls.append(len(args[1])) or real(*args))
-        estimate_params_auxiliary(*held_out(net, aux), aux, 8)
+        estimate_params_auxiliary(*held_out(net, aux), aux.ys, 8)
         assert calls == [len(aux)]
         for kind in ("zeros", "ones"):
             calls.clear()
@@ -429,19 +468,36 @@ class TestClassMeanEstimate:
         rows = gradient_row_sums(logits, penultimate, aux.ys)
         order = rng.permutation(len(aux))
         for batch_size in VALID_BATCH_SIZES:
-            params = estimate_params_auxiliary(logits, penultimate, aux, batch_size)
+            params = estimate_params_auxiliary(logits, penultimate, aux.ys, batch_size)
             expected = class_mean_params(rows, aux.ys, 10, batch_size)
             permuted = estimate_params_auxiliary(logits[order], penultimate[order],
-                                                 aux.subset(order), batch_size)
+                                                 aux.ys[order], batch_size)
             for got in (params, permuted):
                 np.testing.assert_allclose(got.impact, expected.impact, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(got.offsets, expected.offsets, rtol=1e-12, atol=0)
 
 
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_each_class_is_summed_in_index_order(self, world, model):
+        # a stable sort by label keeps each class's rows in index order, so
+        # the estimate equals, bit for bit, one reduction per class over its
+        # rows as they come; an unstable sort reorders the rows of a class
+        _, test = world
+        net = probe_net(model, "sigmoid", 44)
+        logits, penultimate = held_out(net, test)
+        rows = gradient_row_sums(logits, penultimate, test.ys)
+        means = np.stack([np.add.reduceat(rows[test.ys == label], [0], axis=0)[0]
+                          / np.count_nonzero(test.ys == label) for label in range(1, 11)])
+        expected = params_of_means(means, 8)
+        params = estimate_params_auxiliary(logits, penultimate, test.ys, 8)
+        assert params.impact == expected.impact
+        assert params.offsets.tobytes() == expected.offsets.tobytes()
+
+
 class TestClosedFormExpectation:
     @pytest.mark.parametrize("batch_size", [1, 8, 128])
     def test_sampled_estimates_centre_on_the_class_mean_rows(self, batch_size):
-        # the paper's sampled estimator is the oracle: _params is linear in
+        # the paper's sampled estimator is the oracle: the estimate is linear in
         # the probe means, and a probe mean's expectation, drawn with or
         # without replacement (B = 128 outgrows the 100-sample pools), is
         # its class's mean row. So the sample means of 400 sampled estimates
@@ -449,7 +505,7 @@ class TestClosedFormExpectation:
         _, aux = synth_generate(SyntheticSpec(seed=7))
         net = mlp(64, 10, seed=3)
         logits, penultimate = held_out(net, aux)
-        closed = estimate_params_auxiliary(logits, penultimate, aux, batch_size)
+        closed = estimate_params_auxiliary(logits, penultimate, aux.ys, batch_size)
         rows = gradient_row_sums(logits, penultimate, aux.ys)
         rng, draws = np.random.default_rng(7), 400
         estimates = [sampled_auxiliary(rows, aux, batch_size, rng) for _ in range(draws)]
@@ -465,7 +521,7 @@ class TestUniformDummyExpectation:
     @pytest.mark.parametrize("batch_size", [1, 8])
     def test_pooled_estimates_centre_on_the_per_probe_estimator(self, batch_size):
         # the paper's estimator, one forward and one mean per probe, is the
-        # oracle: _params is linear in the probe means, and a uniform probe
+        # oracle: the estimate is linear in the probe means, and a uniform probe
         # mean of label l has the same expectation whatever the probe's
         # size. So the means of 200 estimates of each lie within 4 standard
         # errors of their difference
@@ -507,12 +563,45 @@ class TestSharedHeldOutForward:
         logits, penultimate = held_out(net, aux)
         network_rows = network_row_sums(net, aux.xs, aux.ys)
         assert np.array_equal(gradient_row_sums(logits, penultimate, aux.ys), network_rows)
-        params = estimate_params_auxiliary(logits, penultimate, aux, batch_size)
+        params = estimate_params_auxiliary(logits, penultimate, aux.ys, batch_size)
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(attack, "gradient_row_sums", lambda *args: network_rows)
-            network = estimate_params_auxiliary(logits, penultimate, aux, batch_size)
+            network = estimate_params_auxiliary(logits, penultimate, aux.ys, batch_size)
         assert params.impact == network.impact
         assert params.offsets.tobytes() == network.offsets.tobytes()
+
+
+ESTIMATORS = {
+    "whitebox-zeros": lambda net, aux, size, rng: estimate_params_whitebox(net, size),
+    "whitebox-uniform": lambda net, aux, size, rng: estimate_params_whitebox(
+        net, size, "uniform_random", rng),
+    "auxiliary": lambda net, aux, size, rng: estimate_params_auxiliary(*aux, size),
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("batch_size, message", [
+    (0, "batch size must be >= 1, got 0"),
+    (-8, "batch size must be >= 1, got -8"),
+    (2.5, r"batch size must be an integer; 2\.5 is fractional"),
+    (True, "batch size must be an integer; True is boolean"),
+    ("8", "batch size must be a real number; got dtype <U1"),
+], ids=["0", "-8", "2.5", "True", "string"])
+def test_a_batch_size_is_checked_before_any_forward_pass_or_draw(world, monkeypatch, estimator,
+                                                                 batch_size, message):
+    _, test = world
+    net = mlp(64, 10, seed=38)
+    aux = (*held_out(net, test), test.ys)
+    rng = np.random.default_rng(39)
+    state = rng.bit_generator.state
+
+    def no_pass(*args):
+        raise AssertionError("a forward pass ran before the batch size was checked")
+    monkeypatch.setattr(net, "infer", no_pass)
+    monkeypatch.setattr(net, "forward", no_pass)
+    with pytest.raises(ValueError, match=message):
+        ESTIMATORS[estimator](net, aux, batch_size, rng)
+    assert rng.bit_generator.state == state
 
 
 class TestEstimatorsLeaveTheModelAlone:
@@ -525,7 +614,7 @@ class TestEstimatorsLeaveTheModelAlone:
         rng = np.random.default_rng(41)
         for dummy_kind in ("zeros", "uniform_random"):
             estimate_params_whitebox(net, 8, dummy_kind=dummy_kind, rng=rng)
-        estimate_params_auxiliary(*held_out(net, test), test, 8)
+        estimate_params_auxiliary(*held_out(net, test), test.ys, 8)
         assert net.params.tobytes() == before.tobytes()
         assert net._version == version
 
@@ -536,25 +625,40 @@ class TestAuxiliaryEstimation:
         partial = test.subset(np.flatnonzero(test.ys != 3))
         net = mlp(64, 10, seed=33)
         with pytest.raises(ValueError, match="no samples of class 3"):
-            estimate_params_auxiliary(*held_out(net, partial), partial, 8)
+            estimate_params_auxiliary(*held_out(net, partial), partial.ys, 8)
 
     def test_logits_that_are_not_a_matrix_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=34), test)
         with pytest.raises(ValueError, match=r"logits must be \(B, n\)"):
-            estimate_params_auxiliary(logits[:, 0], penultimate, test, 8)
+            estimate_params_auxiliary(logits[:, 0], penultimate, test.ys, 8)
 
     def test_logits_and_activations_of_different_lengths_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=35), test)
         with pytest.raises(ValueError, match="1000 logit rows but 999 penultimate rows"):
-            estimate_params_auxiliary(logits, penultimate[1:], test, 8)
+            estimate_params_auxiliary(logits, penultimate[1:], test.ys, 8)
 
     def test_forward_pass_of_another_set_rejected(self, world):
         _, test = world
         logits, penultimate = held_out(mlp(64, 10, seed=36), test)
-        with pytest.raises(ValueError, match="999 forward rows for 1000 auxiliary samples"):
-            estimate_params_auxiliary(logits[1:], penultimate[1:], test, 8)
+        with pytest.raises(ValueError,
+                           match=r"expected labels of shape \(999,\), got shape \(1000,\)"):
+            estimate_params_auxiliary(logits[1:], penultimate[1:], test.ys, 8)
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, r"labels must lie in \[1, 10\]"),
+        (11, r"labels must lie in \[1, 10\]"),
+        (2.5, r"label 2\.5 at index 0 is fractional"),
+        ("3", "labels must be real numbers; got dtype <U"),
+    ], ids=["0", "n+1", "fractional", "string"])
+    def test_labels_are_checked_before_they_are_counted(self, world, bad, message):
+        _, test = world
+        logits, penultimate = held_out(mlp(64, 10, seed=37), test)
+        labels = test.ys.astype(type(bad))
+        labels[0] = bad
+        with pytest.raises(ValueError, match=message):
+            estimate_params_auxiliary(logits, penultimate, labels, 8)
 
     @pytest.mark.parametrize("batch_size", [2, 8, 32, 128])
     def test_calibrated_gradients_track_label_counts(self, world, batch_size):
@@ -567,7 +671,7 @@ class TestAuxiliaryEstimation:
             net = mlp(64, 10, seed=2100 + trial)
             xs, ys = make_batch(train, BatchSpec(batch_size, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
-            params = estimate_params_auxiliary(*held_out(net, test), test, batch_size)
+            params = estimate_params_auxiliary(*held_out(net, test), test.ys, batch_size)
             calibrated.extend(update.last_layer().g - params.offsets)
             lam.extend(LabelMultiset.from_labels(ys, 10).counts)
         rho = pearson(np.array(calibrated), np.array(lam, dtype=float))
@@ -583,7 +687,7 @@ class TestAuxiliaryEstimation:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(*held_out(net, test), test, 32)
+            plus = estimate_params_auxiliary(*held_out(net, test), test.ys, 32)
             aux_scores.append(attack_success_rate(llg_extract(last, plus), truth))
             base = AttackParams(estimate_impact_shared(last), np.zeros(10))
             shared_scores.append(attack_success_rate(llg_extract(last, base), truth))
@@ -729,7 +833,7 @@ class TestExtraction:
         # takes |D| from its gradient: B under FedSGD, gamma·B under FedAvg
         train, test = world
         net = mlp(64, 10, seed=6050)
-        params = estimate_params_auxiliary(*held_out(net, test), test, 8)
+        params = estimate_params_auxiliary(*held_out(net, test), test.ys, 8)
         spec = BatchSpec(8, "unbalanced")
         xs, ys = make_batch(train, spec, np.random.default_rng(6051))
         sgd = local_train_fedsgd(net, xs, ys)
@@ -747,7 +851,7 @@ class TestExtraction:
             xs, ys = make_batch(train, BatchSpec(8, "unbalanced"), rng)
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
-            params = estimate_params_auxiliary(*held_out(net, test), test, 8)
+            params = estimate_params_auxiliary(*held_out(net, test), test.ys, 8)
             if llg_extract(update.last_layer(), params) == truth:
                 exact += 1
         assert exact >= 95
@@ -797,7 +901,7 @@ class TestAttackOrdering:
             update = local_train_fedsgd(net, xs, ys)
             truth = LabelMultiset.from_labels(ys, 10)
             last = update.last_layer()
-            plus = estimate_params_auxiliary(*held_out(net, test), test, 32)
+            plus = estimate_params_auxiliary(*held_out(net, test), test.ys, 32)
             scores["llg_plus"].append(attack_success_rate(llg_extract(last, plus), truth))
             base = AttackParams(estimate_impact_shared(last), np.zeros(10))
             scores["llg"].append(attack_success_rate(llg_extract(last, base), truth))

@@ -380,7 +380,7 @@ def llg_plus_asr(train, test, batch_size, defense, trials, activation="sigmoid")
         update = local_train_fedsgd(net, xs, ys)
         truth = LabelMultiset.from_labels(ys, 10)
         logits, cache = net.forward(test.xs)
-        params = estimate_params_auxiliary(logits, cache.penultimate, test, batch_size)
+        params = estimate_params_auxiliary(logits, cache.penultimate, test.ys, batch_size)
         if defense is not None:
             residual = Gradients.zeros_for(net) if defense.kind == "compress" else None
             update = apply_defense(update, defense, rng, residual)

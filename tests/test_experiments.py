@@ -1,9 +1,11 @@
 """Runner and CLI tests: config validation, CSV contract, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import math
+import re
 import sys
 import weakref
 from collections import Counter
@@ -598,6 +600,19 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 
 class TestCli:
+    def test_console_script_runs_cli_main(self):
+        # README's llg-lab command is pyproject's console script; the
+        # section is read with a regex, since Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+            encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                            flags=re.MULTILINE | re.DOTALL)
+        assert scripts, "pyproject.toml has no [project.scripts] section"
+        entry = re.search(r'^llg-lab\s*=\s*"([^"]*)"', scripts.group(1), flags=re.MULTILINE)
+        assert entry and entry.group(1) == "llg_lab.cli:main"
+        module, name = entry.group(1).split(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
+
     def test_list_experiments(self, capsys):
         assert cli.main(["--list-experiments"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,8 @@
 """Label input checks shared by every entry point that reads labels: a
 boolean, non-finite or fractional label is rejected, never truncated, and
 so is a label outside the class range. Label counts, sample counts and
-batch sizes take the same whole-number check."""
+batch sizes take the same whole-number check, and a value of any dtype but
+boolean, integer or float is rejected by its dtype."""
 
 import re
 
@@ -141,3 +142,27 @@ def test_a_size_takes_the_whole_number_check(entry, size, why):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer; {size!r} "
                                                        f"is {why}")):
             SIZES[entry](size)
+
+
+# a value of no real-number dtype is rejected by its dtype: a cast would
+# parse "8" as 8 and drop an imaginary part, and an int beyond the float or
+# uint64 range, or None, makes an object array that no check can read
+NOT_REAL = {
+    "LabelMultiset": (lambda value: LabelMultiset([value, 1]), "counts must be real numbers"),
+    "integer_labels": (lambda value: integer_labels([value, 1], 3),
+                       "labels must be real numbers"),
+    "LastLayerGradient": (lambda value: LastLayerGradient(np.ones((3, 2)), value),
+                          "sample_count must be a real number"),
+    "BatchSpec": (lambda value: BatchSpec(value), "batch size must be a real number"),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_REAL)
+@pytest.mark.parametrize("value, dtype", [
+    (10**400, "object"), (2**64, "object"), (None, "object"), ("8", "<U"),
+    (1 + 0j, "complex128"),
+], ids=["10**400", "2**64", "None", "string", "complex"])
+def test_a_value_of_no_real_dtype_is_named_by_its_dtype(entry, value, dtype):
+    load, role = NOT_REAL[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{role}; got dtype {dtype}")):
+        load(value)
